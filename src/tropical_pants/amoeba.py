@@ -285,8 +285,7 @@ def sample_amoeba(
         tj, tk = float(th1[a1]), float(th2[a2])
         try:
             roots = solver.roots((xj, xk), (tj, tk))
-        except _RootFailure as exc:
-            LOG.warning("root solve failed at x=(%g,%g) theta=(%g,%g): %s", xj, xk, tj, tk, exc)
+        except _RootFailure:
             return None
         out = []
         for xa, ta in roots:
@@ -326,6 +325,10 @@ def sample_amoeba(
             kept += 1
         if kept == d:
             full += 1
+    if failed:
+        LOG.warning(
+            "root solve failed at %d of %d grid points (d=%d, t=%g)", failed, len(tasks), d, t
+        )
     return SampleCloud(d, t, axis, samples, len(tasks), failed, rejected, full)
 
 
@@ -514,6 +517,7 @@ class FiberResiduals:
     n_samples: int
     angle_residual: float
     ratio_residual: float
+    failed_points: int  # grid points whose root solve did not converge
 
 
 def limit_fiber_check(
@@ -527,7 +531,8 @@ def limit_fiber_check(
 
     Angle: <m - m', theta> must approach pi mod 2pi.  Ratio: the scaled
     magnitudes of the two terms must approach each other.  Maxima over all
-    samples whose log image lands in the window are reported.
+    samples whose log image lands in the window are reported; grid points
+    whose root solve fails are skipped and counted.
     """
     if not t > 1.0:
         raise DomainError(f"t must exceed 1, got {t}")
@@ -543,7 +548,7 @@ def limit_fiber_check(
     cm, cmp_ = float(lift_value(probe.m)), float(lift_value(probe.m_prime))
 
     angle_res = ratio_res = -1.0
-    n_kept = 0
+    n_kept = failed = 0
     for xj in _axis_values(lo[j], hi[j], n_x):
         for xk in _axis_values(lo[k], hi[k], n_x):
             for tj in _angles(n_theta):
@@ -551,6 +556,7 @@ def limit_fiber_check(
                     try:
                         roots = solver.roots((float(xj), float(xk)), (float(tj), float(tk)))
                     except _RootFailure:
+                        failed += 1
                         continue
                     for xa, ta in roots:
                         x = [0.0, 0.0, 0.0]
@@ -572,7 +578,7 @@ def limit_fiber_check(
                         ratio_res = max(ratio_res, ratio)
     if n_kept == 0:
         raise CoverageError("no amoeba samples landed in the window")
-    return FiberResiduals(t, n_kept, angle_res, ratio_res)
+    return FiberResiduals(t, n_kept, angle_res, ratio_res, failed)
 
 
 # -- periods -----------------------------------------------------------------

@@ -261,94 +261,48 @@ def incident(lower, upper) -> bool:
 # Geometry queries (floats)
 
 
-class _Geometry:
-    """Float arrays for distance queries, built once per complex."""
-
-    def __init__(self, comp: TropicalComplex):
-        sub = comp.sub
-        pts = {v.id: np.array([float(c) for c in v.point]) for v in comp.vertices}
-        self.terms_m = np.array(
-            [m for m in lattice.delta_points(sub.d)], dtype=float
-        )
-        self.terms_v = np.array(
-            [sub.lift_values[m] for m in lattice.delta_points(sub.d)], dtype=float
-        )
-        self.term_index = {m: i for i, m in enumerate(lattice.delta_points(sub.d))}
-        segs_a, segs_b = [], []
-        ray_o, ray_d = [], []
-        for e in comp.edges:
-            if e.bounded:
-                segs_a.append(pts[e.vertex_ids[0]])
-                segs_b.append(pts[e.vertex_ids[1]])
-            else:
-                ray_o.append(pts[e.vertex_ids[0]])
-                ray_d.append(np.array(e.direction, dtype=float))
-        self.seg_a = np.array(segs_a) if segs_a else np.zeros((0, 3))
-        self.seg_b = np.array(segs_b) if segs_b else np.zeros((0, 3))
-        self.ray_o = np.array(ray_o) if ray_o else np.zeros((0, 3))
-        self.ray_d = np.array(ray_d) if ray_d else np.zeros((0, 3))
-        planes = []
-        for c2 in comp.two_cells:
-            m, mp = c2.edge
-            n = np.array([m[i] - mp[i] for i in range(3)], dtype=float)
-            c = float(sub.lift_values[m] - sub.lift_values[mp])
-            planes.append((n, c, self.term_index[m], self.term_index[mp]))
-        self.planes = planes
-
-
-_geom_cache: dict[int, _Geometry] = {}
-
-
-def _geometry(comp: TropicalComplex) -> _Geometry:
-    key = id(comp)
-    if key not in _geom_cache:
-        _geom_cache[key] = _Geometry(comp)
-    return _geom_cache[key]
+# element budget per temporary of the distance pass: chunk rows shrink as
+# |D_d| grows, so memory stays bounded at every degree
+_DISTANCE_CHUNK_ELEMENTS = 1 << 18
 
 
 def distance_many(points: np.ndarray, comp: TropicalComplex) -> np.ndarray:
-    """Euclidean distance from each point to the complex (exact pieces, no box truncation)."""
-    g = _geometry(comp)
+    """Euclidean distance from each point to the complex, in closed form.
+
+    The complex is the corner locus of L(x) = max_m L_m(x) with
+    L_m(x) = <m,x> - v(m).  A point x lies in the closed convex region
+    R(m*) = {y : L_{m*}(y) >= L_m(y) for all m} of its argmax term m*, and
+    every boundary point of R(m*) ties two terms, so it is on the complex.
+    The nearest point of the complex lies on that boundary: a segment from x
+    cannot leave R(m*) without crossing it.  The distance from a point of an
+    intersection of half-spaces to its boundary is the smallest distance to
+    one of their bounding planes, and a redundant half-space's plane lies
+    outside the region, so it never undercuts that minimum.  Hence
+
+        dist(x) = min over m != m* of (L_{m*}(x) - L_m(x)) / |m* - m|,
+
+    which is 0 when the argmax is tied.  Points are processed in chunks of
+    one (rows, |D_d|) score matrix each; no |D_d| x |D_d| table is built.
+    """
+    pts = lattice.delta_points(comp.d)
+    M = np.array(pts, dtype=float)
+    V = np.array([comp.sub.lift_values[m] for m in pts], dtype=float)
+    sq = (M * M).sum(axis=1)  # integers, exact in float64
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    n_pts = P.shape[0]
-    best = np.full(n_pts, np.inf)
-
-    # plane feet that land inside their 2-cell
-    for n, c, im, imp in g.planes:
-        nn = n @ n
-        offs = (P @ n - c) / nn
-        feet = P - offs[:, None] * n[None, :]
-        scores = feet @ g.terms_m.T - g.terms_v[None, :]
-        top = scores.max(axis=1)
-        tol = 1e-9 * (1.0 + np.abs(top))
-        inside = scores[:, im] >= top - tol
-        dist = np.abs(offs) * math.sqrt(nn)
-        best = np.where(inside, np.minimum(best, dist), best)
-
-    # segments (bounded dual edges)
-    if len(g.seg_a):
-        ab = g.seg_b - g.seg_a  # (E,3)
-        denom = (ab * ab).sum(axis=1)  # (E,)
-        for i in range(0, n_pts, 1024):
-            blk = P[i : i + 1024]
-            ap = blk[:, None, :] - g.seg_a[None, :, :]
-            t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
-            proj = g.seg_a[None, :, :] + t[:, :, None] * ab[None, :, :]
-            dd = np.linalg.norm(blk[:, None, :] - proj, axis=2).min(axis=1)
-            best[i : i + 1024] = np.minimum(best[i : i + 1024], dd)
-
-    # rays (unbounded dual edges)
-    if len(g.ray_o):
-        dd2 = (g.ray_d * g.ray_d).sum(axis=1)
-        for i in range(0, n_pts, 1024):
-            blk = P[i : i + 1024]
-            ap = blk[:, None, :] - g.ray_o[None, :, :]
-            t = np.maximum((ap * g.ray_d[None, :, :]).sum(axis=2) / dd2[None, :], 0.0)
-            proj = g.ray_o[None, :, :] + t[:, :, None] * g.ray_d[None, :, :]
-            dd = np.linalg.norm(blk[:, None, :] - proj, axis=2).min(axis=1)
-            best[i : i + 1024] = np.minimum(best[i : i + 1024], dd)
-
-    return best
+    out = np.empty(P.shape[0])
+    step = max(1, _DISTANCE_CHUNK_ELEMENTS // len(pts))
+    for i in range(0, P.shape[0], step):
+        scores = P[i : i + step] @ M.T - V
+        rows = np.arange(scores.shape[0])
+        top = scores.argmax(axis=1)
+        gap = scores[rows, top][:, None] - scores
+        # |m* - m|^2 in Gram form; every term is an exact integer
+        norm = np.sqrt(sq[top][:, None] + sq[None, :] - 2.0 * (M[top] @ M.T))
+        # mask the gap, not the norm: 0 / inf would read as a zero distance
+        gap[rows, top] = np.inf
+        norm[rows, top] = 1.0
+        out[i : i + step] = (gap / norm).min(axis=1)
+    return out
 
 
 def distance_to_tropical(x: Sequence[float], comp: TropicalComplex, bbox=None) -> float:

@@ -1,5 +1,6 @@
 """Numerical sampling paths: root solving, clouds, fibers, periods."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from tropical_pants.amoeba import (
     AmoebaGrid,
     CLOUD_HEADER,
     _AxisSolver,
+    _RootFailure,
+    _angles,
     _durand_kerner,
     _upper_hull,
     _wedge_empty,
@@ -124,6 +127,35 @@ def test_sample_determinism_and_threads():
     assert a.full_root_points == b.full_root_points
 
 
+def _fail_when(monkeypatch, predicate):
+    """Make the axis solver raise on the grid points the predicate picks."""
+    real = _AxisSolver.roots
+
+    def roots(self, x_fixed, theta_fixed):
+        if predicate(x_fixed, theta_fixed):
+            raise _RootFailure("injected")
+        return real(self, x_fixed, theta_fixed)
+
+    monkeypatch.setattr(_AxisSolver, "roots", roots)
+
+
+def test_sample_failures_one_summary_warning(monkeypatch, caplog):
+    grid = AmoebaGrid((0.0, 16.0, 3), (0.0, 16.0, 3), 2, 2)
+    with caplog.at_level(logging.WARNING, logger="tropical_pants.amoeba"):
+        clean = sample_amoeba(1, E8, grid)
+    assert clean.failed_points == 0
+    assert not caplog.records
+
+    first = float(_angles(2)[0])
+    _fail_when(monkeypatch, lambda x, th: th == (first, first))
+    with caplog.at_level(logging.WARNING, logger="tropical_pants.amoeba"):
+        cloud = sample_amoeba(1, E8, grid)
+    assert cloud.failed_points == 9
+    assert len(cloud.samples) == len(clean.samples) - 9
+    assert len(caplog.records) == 1
+    assert "9 of 36 grid points" in caplog.records[0].getMessage()
+
+
 def test_sample_d5_root_yield():
     grid = AmoebaGrid((0.0, 6.0, 8), (0.0, 6.0, 8), 4, 4)
     cloud = sample_amoeba(5, E8, grid)
@@ -179,6 +211,18 @@ def test_limit_fiber_residuals(sub1):
     assert ratios[0] > ratios[1] > ratios[2]
     assert angles[2] < 0.05 and ratios[2] < 0.05
     assert all(r.n_samples > 0 for r in results)
+
+
+def test_limit_fiber_counts_root_failures(sub1, monkeypatch):
+    pr = fiber_probe(sub1, (0, 0, 0), (1, 0, 0), ("7.6", 6, "10.5"), ("8.4", 7, "11.5"))
+    clean = limit_fiber_check(pr, E8, n_x=3, n_theta=6)
+    assert clean.failed_points == 0
+    # fail every point of the first theta column: 3 * 3 * 6 of the 324
+    first = float(_angles(6)[0])
+    _fail_when(monkeypatch, lambda x, th: th[0] == first)
+    hit = limit_fiber_check(pr, E8, n_x=3, n_theta=6)
+    assert hit.failed_points == 54
+    assert hit.n_samples < clean.n_samples
 
 
 def test_limit_fiber_coverage_error(sub1):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropical_pants import lattice, tropical
+from tropical_pants.cli import _default_bbox
 from tropical_pants.errors import DomainError
 from tropical_pants.serialization import parse_off
 from tropical_pants.tropical import (
     build_tropical,
+    distance_many,
     distance_to_tropical,
     export_mesh,
     incident,
@@ -173,6 +175,101 @@ def test_distance_zero_iff_argmax_tie(trop1, x):
         assert d <= 1e-6
     if d > 1e-3:
         assert len(arg) == 1
+
+
+def _distance_oracle(points, comp):
+    """Distance as the minimum over the complex's pieces: the feet of 2-cell
+    planes that land inside their cell, the bounded edges and the rays."""
+    sub = comp.sub
+    pts = lattice.delta_points(sub.d)
+    terms_m = np.array(pts, dtype=float)
+    terms_v = np.array([sub.lift_values[m] for m in pts], dtype=float)
+    term_index = {m: i for i, m in enumerate(pts)}
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(P.shape[0], np.inf)
+
+    for c2 in comp.two_cells:
+        m, mp = c2.edge
+        n = np.array([m[i] - mp[i] for i in range(3)], dtype=float)
+        c = float(sub.lift_values[m] - sub.lift_values[mp])
+        nn = n @ n
+        offs = (P @ n - c) / nn
+        feet = P - offs[:, None] * n[None, :]
+        scores = feet @ terms_m.T - terms_v[None, :]
+        top = scores.max(axis=1)
+        inside = scores[:, term_index[m]] >= top - 1e-9 * (1.0 + np.abs(top))
+        best = np.where(inside, np.minimum(best, np.abs(offs) * math.sqrt(nn)), best)
+
+    for e in comp.edges:
+        a = comp.vertex_point_float(e.vertex_ids[0])
+        if e.bounded:
+            ab = comp.vertex_point_float(e.vertex_ids[1]) - a
+            t = np.clip((P - a) @ ab / (ab @ ab), 0.0, 1.0)
+        else:
+            ab = np.array(e.direction, dtype=float)
+            t = np.maximum((P - a) @ ab / (ab @ ab), 0.0)
+        proj = a[None, :] + t[:, None] * ab[None, :]
+        best = np.minimum(best, np.linalg.norm(P - proj, axis=1))
+    return best
+
+
+@pytest.fixture(scope="module")
+def small_complexes(sub_factory):
+    return {d: build_tropical(sub_factory(d)) for d in (1, 2, 3, 4)}
+
+
+def _vertex_window(comp):
+    lo, hi = _default_bbox(comp)
+    return np.array(lo), np.array(hi)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3, 4)),
+    st.lists(st.tuples(_unit, _unit, _unit), min_size=1, max_size=12),
+    st.sampled_from((1.0, 40.0)),
+)
+def test_distance_matches_piecewise_oracle(small_complexes, d, units, spread):
+    # spread 1 draws inside the vertex window, spread 40 far outside it
+    comp = small_complexes[d]
+    lo, hi = _vertex_window(comp)
+    center = (lo + hi) / 2.0
+    P = center + spread * (np.array(units) - 0.5) * (hi - lo)
+    np.testing.assert_allclose(
+        distance_many(P, comp), _distance_oracle(P, comp), rtol=0.0, atol=1e-9
+    )
+
+
+def test_distance_foot_ties_two_terms(small_complexes):
+    # the foot of the minimizing term's plane is a point of the complex
+    rng = np.random.default_rng(11)
+    for d, comp in small_complexes.items():
+        pts = lattice.delta_points(d)
+        M = np.array(pts, dtype=float)
+        V = np.array([comp.sub.lift_values[m] for m in pts], dtype=float)
+        lo, hi = _vertex_window(comp)
+        P = rng.uniform(lo, hi, size=(40, 3))
+        dist = distance_many(P, comp)
+        checked = 0
+        for x, r in zip(P, dist):
+            if r < 1e-3:
+                continue
+            scores = M @ x - V
+            top = int(scores.argmax())
+            norms = np.linalg.norm(M[top] - M, axis=1)
+            norms[top] = 1.0
+            ratios = (scores[top] - scores) / norms
+            ratios[top] = np.inf
+            other = int(ratios.argmin())
+            assert ratios[other] == pytest.approx(r, abs=1e-12)
+            foot = x - r * (M[top] - M[other]) / norms[other]
+            _, arg = legendre_eval(tuple(float(c) for c in foot), d)
+            assert pts[top] in arg and pts[other] in arg
+            checked += 1
+        assert checked > 20
 
 
 def test_distance_bbox_precondition(trop1):
