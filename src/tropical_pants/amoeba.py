@@ -5,9 +5,6 @@ w_i = t^(x_i) e^(i theta_i).  Exponents of t are never turned into bare
 floats; each polynomial solve rescales its coefficients by the dominant
 t-power first (the coefficients span hundreds of orders of magnitude at
 t = e^16, so this is not optional).
-
-Grid points are independent tasks.  Results are keyed by grid index and
-reassembled in order, so thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,26 +26,15 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .lattice import Point3
+from .lattice import Point3, solve3
 from .patchwork import PatchworkPolynomial, build_patchwork, eval_patchwork
-from .subdivision import RegularSubdivision, lift_value, solve_exact
+from .subdivision import RegularSubdivision, lift_value
 from .tropical import TropicalComplex, distance_many
 
 LOG = logging.getLogger(__name__)
 
 MAX_ROOT_ITERATIONS = 200
 ROOT_TOLERANCE = 1e-12
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else TROPICAL_PANTS_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("TROPICAL_PANTS_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def log_t(w: Sequence[complex], t: float) -> tuple[float, float, float]:
@@ -261,7 +246,6 @@ def sample_amoeba(
     grid: AmoebaGrid,
     axis: int = 2,
     residual_tol: float = 1e-6,
-    threads: int | None = None,
 ) -> SampleCloud:
     """Sample the log image of the hypersurface over a 4-dimensional grid.
 
@@ -277,59 +261,35 @@ def sample_amoeba(
     th2 = _angles(grid.n_theta2)
     j, k = solver.others
 
-    tasks = list(product(range(len(xs1)), range(len(xs2)), range(len(th1)), range(len(th2))))
-
-    def work(idx):
-        i1, i2, a1, a2 = idx
-        xj, xk = float(xs1[i1]), float(xs2[i2])
-        tj, tk = float(th1[a1]), float(th2[a2])
+    n_points = len(xs1) * len(xs2) * len(th1) * len(th2)
+    samples: list[AmoebaSample] = []
+    failed = rejected = full = 0
+    for xj, xk, tj, tk in product(xs1.tolist(), xs2.tolist(), th1.tolist(), th2.tolist()):
         try:
             roots = solver.roots((xj, xk), (tj, tk))
         except _RootFailure:
-            return None
-        out = []
-        for xa, ta in roots:
+            failed += 1
+            continue
+        kept = 0
+        for ridx, (xa, ta) in enumerate(roots):
             x = [0.0, 0.0, 0.0]
             th = [0.0, 0.0, 0.0]
             x[j], x[k], x[axis] = xj, xk, xa
             th[j], th[k], th[axis] = tj, tk, ta
             val, _ = eval_patchwork(p, t, x, th)
-            out.append((tuple(x), tuple(th), abs(val)))
-        return out
-
-    n_threads = thread_count(threads)
-    results: dict[int, object] = {}
-    if n_threads == 1:
-        for i, task in enumerate(tasks):
-            results[i] = work(task)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for i, res in enumerate(pool.map(work, tasks)):
-                results[i] = res
-
-    samples: list[AmoebaSample] = []
-    failed = rejected = full = 0
-    for i in range(len(tasks)):
-        res = results[i]
-        if res is None:
-            failed += 1
-            continue
-        kept = 0
-        for ridx, (x, th, resid) in enumerate(res):
+            resid = abs(val)
             if resid > residual_tol:
                 rejected += 1
                 continue
-            samples.append(AmoebaSample(x, th, ridx, resid))
+            samples.append(AmoebaSample(tuple(x), tuple(th), ridx, resid))
             kept += 1
         if kept == d:
             full += 1
     if failed:
         LOG.warning(
-            "root solve failed at %d of %d grid points (d=%d, t=%g)", failed, len(tasks), d, t
+            "root solve failed at %d of %d grid points (d=%d, t=%g)", failed, n_points, d, t
         )
-    return SampleCloud(d, t, axis, samples, len(tasks), failed, rejected, full)
+    return SampleCloud(d, t, axis, samples, n_points, failed, rejected, full)
 
 
 def cloud_rows(cloud: SampleCloud):
@@ -359,7 +319,6 @@ def convergence_study(
     grid: AmoebaGrid,
     comp: TropicalComplex | None = None,
     axis: int = 2,
-    threads: int | None = None,
 ) -> list[ConvergenceRow]:
     """One-sided distance from each sample cloud to the tropical complex."""
     ts = [float(t) for t in t_list]
@@ -374,7 +333,7 @@ def convergence_study(
         comp = build_tropical(subdivide(d))
     rows = []
     for t in ts:
-        cloud = sample_amoeba(d, t, grid, axis=axis, threads=threads)
+        cloud = sample_amoeba(d, t, grid, axis=axis)
         if not cloud.samples:
             raise CoverageError(f"no accepted samples at t={t}")
         dist = distance_many(cloud.points_array(), comp)
@@ -393,8 +352,8 @@ def convergence_study(
 # -- limit fibers ------------------------------------------------------------
 
 
-def _affine_l(m: Point3, v: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return (Fraction(m[0]), Fraction(m[1]), Fraction(m[2]), -Fraction(v))
+def _affine_l(m: Point3, v: int) -> tuple[int, int, int, int]:
+    return (m[0], m[1], m[2], -v)
 
 
 def _eval_aff(a, x):
@@ -411,17 +370,17 @@ def _wedge_empty(lo, hi, g1, g2) -> bool:
     """Exact emptiness of {x in box : g1(x) >= 0, g2(x) >= 0}.
 
     The region is a bounded polyhedron, so nonempty means it has a vertex
-    where 3 independent constraints are active.  All arithmetic in Fractions.
+    where 3 independent constraints are active.  Exact over int and Fraction.
     """
     # constraints as (normal, offset) with n.x + b >= 0
     cons = []
     for i in range(3):
-        n = [Fraction(0)] * 3
-        n[i] = Fraction(1)
-        cons.append((tuple(n), -Fraction(lo[i])))
-        n = [Fraction(0)] * 3
-        n[i] = Fraction(-1)
-        cons.append((tuple(n), Fraction(hi[i])))
+        n = [0, 0, 0]
+        n[i] = 1
+        cons.append((tuple(n), -lo[i]))
+        n = [0, 0, 0]
+        n[i] = -1
+        cons.append((tuple(n), hi[i]))
     cons.append(((g1[0], g1[1], g1[2]), g1[3]))
     cons.append(((g2[0], g2[1], g2[2]), g2[3]))
 
@@ -429,7 +388,7 @@ def _wedge_empty(lo, hi, g1, g2) -> bool:
         rows = [list(cons[i][0]) for i in trio]
         rhs = [-cons[i][1] for i in trio]
         try:
-            pt = solve_exact(rows, rhs)
+            pt = solve3(rows, rhs)
         except DegeneracyError:
             continue
         if all(n[0] * pt[0] + n[1] * pt[1] + n[2] * pt[2] + b >= 0 for n, b in cons):

@@ -222,7 +222,7 @@ def _cmd_amoeba(args) -> int:
     ts = _parse_t_list(args.t_list)
     _echo_config(args, args.out)
     for t in ts:
-        cloud = am.sample_amoeba(args.d, t, grid, threads=args.threads)
+        cloud = am.sample_amoeba(args.d, t, grid)
         name = f"amoeba_d{args.d}_logt{math.log(t):.6g}.csv"
         ser.write_csv(os.path.join(args.out, name), am.CLOUD_HEADER, am.cloud_rows(cloud))
         print(f"t=e^{math.log(t):.6g}: {len(cloud.samples)} samples "
@@ -234,7 +234,7 @@ def _cmd_converge(args) -> int:
     grid = _parse_grid(args.grid)
     ts = _parse_t_list(args.t_list)
     _echo_config(args, args.out)
-    rows = am.convergence_study(args.d, ts, grid, threads=args.threads)
+    rows = am.convergence_study(args.d, ts, grid)
     path = os.path.join(args.out, f"convergence_d{args.d}.csv")
     ser.write_csv(
         path,
@@ -331,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-list", required=True, help="comma floats; eN means exp(N)")
     p.add_argument("--grid", required=True, help="x1min:x1max:nx,x2min:x2max:ny,nt1,nt2")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=None)
 
     p = add("converge", _cmd_converge, help="distance of sample clouds to the limit complex")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t-list", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=None)
 
     p = add("period", _cmd_period, help="torus period estimate over a dual 2-cell window")
     p.add_argument("--d", type=int, required=True)

@@ -4,16 +4,18 @@ The standard simplex of degree d is  D_d = {x in R^3 : x_i >= 0, x_1+x_2+x_3 <= 
 Its interior polytope (for d >= 4) is the translate  (1,1,1) + D_{d-4}, whose
 lattice points are exactly the interior lattice points of D_d.
 
-Everything in this module is exact integer arithmetic.  Python integers are
-arbitrary precision, so there is no overflow to detect.
+Everything in this module is exact integer arithmetic (solve3 also accepts
+Fraction entries).  Python integers are arbitrary precision, so there is no
+overflow to detect.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DegeneracyError, DomainError
 
 Point3 = tuple[int, int, int]
 Simplex3 = tuple[Point3, Point3, Point3, Point3]
@@ -75,6 +77,28 @@ def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
+
+
+def solve3(rows: Sequence[Sequence], rhs: Sequence) -> list:
+    """Exact solution x of rows . x = rhs by Cramer's rule on det3.
+
+    Entries may be int or Fraction.  Each component comes back as an int when
+    it is integral, which is always the case for integer systems of
+    determinant +-1 (unimodular cells), and as a Fraction otherwise.  Raises
+    DegeneracyError when the determinant is zero.
+    """
+    det = det3(*rows)
+    if det == 0:
+        raise DegeneracyError(f"singular linear system {[list(r) for r in rows]}")
+    out = []
+    for k in range(3):
+        num = det3(*([b if j == k else r[j] for j in range(3)] for r, b in zip(rows, rhs)))
+        if isinstance(num, int) and isinstance(det, int) and num % det == 0:
+            out.append(num // det)
+        else:
+            q = Fraction(num, det)
+            out.append(q.numerator if q.denominator == 1 else q)
+    return out
 
 
 def normalized_volume(s: Iterable[Sequence[int]]) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import lattice
 from .errors import CertificationError, DomainError, LemmaViolationError, NumericError
 from .lattice import Point3
-from .subdivision import LiftLike, RegularSubdivision, resolve_lift, solve_exact
+from .subdivision import LiftLike, RegularSubdivision, resolve_lift
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,12 @@ def eval_patchwork(
     return val, big
 
 
-def _barycentric(vertices: Sequence[Point3], m: Point3) -> list[Fraction]:
-    rows = [
-        [Fraction(v[k]) for v in vertices] for k in range(3)
-    ] + [[Fraction(1)] * 4]
-    rhs = [Fraction(m[0]), Fraction(m[1]), Fraction(m[2]), Fraction(1)]
-    return solve_exact(rows, rhs)
+def _barycentric(vertices: Sequence[Point3], m: Point3) -> list:
+    """a with sum 1 and sum a_i v_i = m: a_1..a_3 solve on the edge vectors v_i - v_0."""
+    v0 = vertices[0]
+    rows = [[v[k] - v0[k] for v in vertices[1:]] for k in range(3)]
+    a = lattice.solve3(rows, [m[k] - v0[k] for k in range(3)])
+    return [1 - sum(a)] + a
 
 
 def _is_inner_cell(sub: RegularSubdivision, cell_id: int) -> bool:
@@ -109,7 +108,7 @@ def monomial_identity(
         raise CertificationError(
             f"non-integer expansion {coeffs} for {m} over cell {cell_id}"
         )
-    a = tuple(int(c) for c in coeffs)
+    a = tuple(coeffs)
     exponent = int(cell.support(m))
 
     # substitution oracle, recomputed from the stored lift values:
@@ -153,13 +152,13 @@ def boundary_relation(
     (m0,) = a - b
     (m4,) = b - a
     target = tuple(m0[k] + m4[k] for k in range(3))
-    rows = [[Fraction(s[k]) for s in shared] for k in range(3)]
-    coeffs = solve_exact(rows, [Fraction(c) for c in target])
+    rows = [[s[k] for s in shared] for k in range(3)]
+    coeffs = lattice.solve3(rows, target)
     if any(c.denominator != 1 for c in coeffs):
         raise LemmaViolationError(
             f"non-integer exchange coefficients {coeffs} across cells {rho},{rho_prime}"
         )
-    eps = tuple(int(c) for c in coeffs)
+    eps = tuple(coeffs)
     if sorted(eps) != [0, 1, 1]:
         raise LemmaViolationError(
             f"exchange pattern {eps} is not two ones and a zero"
@@ -227,7 +226,7 @@ def residual_exponents(
                 f"residual exponent {exponent} >= 0 at boundary point {m}"
             )
         out.append(
-            ResidualExponent(m, int(exponent), chosen, tuple(int(c) for c in coeffs))
+            ResidualExponent(m, int(exponent), chosen, tuple(coeffs))
         )
     return out
 

@@ -16,7 +16,6 @@ in the hull path can never leak into the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import lattice
@@ -60,51 +59,22 @@ class AffineForm:
     def __call__(self, x: Sequence) -> object:
         return self.n[0] * x[0] + self.n[1] * x[1] + self.n[2] * x[2] + self.b
 
-    def as_integer(self) -> "AffineForm":
-        """Coerce exact-integral rationals to int; error if non-integral."""
-        vals = list(self.n) + [self.b]
-        out = []
-        for v in vals:
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise DegeneracyError(f"expected integer affine form, got {self}")
-            out.append(int(f))
-        return AffineForm((out[0], out[1], out[2]), out[3])
-
-
-def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions; raises DegeneracyError if singular."""
-    n = len(rows)
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise DegeneracyError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
 
 def supporting_form(vertices: Sequence[Sequence[int]], lift: LiftLike = None) -> AffineForm:
-    """The unique affine form agreeing with the lift on 4 affinely independent points."""
+    """The unique affine form agreeing with the lift on 4 affinely independent points.
+
+    n solves <n, v_i - v_0> = f(v_i) - f(v_0) on the three edge vectors, then
+    b = f(v_0) - <n, v_0>.  Coefficients are ints for unimodular cells and
+    whenever they are integral; otherwise Fractions.
+    """
     fn, _ = resolve_lift(lift)
     vs = [tuple(int(c) for c in v) for v in vertices]
     if len(vs) != 4:
         raise DomainError("need exactly 4 vertices")
-    if normalized_volume(vs) == 0:
-        raise DegeneracyError(f"coplanar vertices {vs}")
-    rows = [[Fraction(v[0]), Fraction(v[1]), Fraction(v[2]), Fraction(1)] for v in vs]
-    rhs = [Fraction(fn(v)) for v in vs]
-    n1, n2, n3, b = solve_exact(rows, rhs)
-    form = AffineForm((n1, n2, n3), b)
-    if all(Fraction(c).denominator == 1 for c in (n1, n2, n3, b)):
-        form = form.as_integer()
-    return form
+    v0, f0 = vs[0], fn(vs[0])
+    edges = [[v[k] - v0[k] for k in range(3)] for v in vs[1:]]
+    n = tuple(lattice.solve3(edges, [fn(v) - f0 for v in vs[1:]]))
+    return AffineForm(n, f0 - (n[0] * v0[0] + n[1] * v0[1] + n[2] * v0[2]))
 
 
 @dataclass
@@ -325,22 +295,22 @@ def subdivide(
     """Build the regular subdivision of D_d induced by the lift.
 
     method: "pattern" (canonical lift only), "hull" (any lift), "both"
-    (run both and require identical cell sets), or "auto".
+    (canonical lift only: run both and require identical cell sets), or "auto".
     """
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
     fn, kind = resolve_lift(lift)
     if method == "auto":
         method = "pattern" if kind == "canonical" else "hull"
-    if method == "pattern" and kind != "canonical":
-        raise DomainError("pattern construction is only valid for the canonical lift")
+    if method in ("pattern", "both") and kind != "canonical":
+        raise DomainError(f"{method!r} construction is only valid for the canonical lift")
 
     if method == "pattern":
         cell_list = _cells_by_pattern(d)
     elif method == "hull":
         cell_list = _cells_by_hull(d, fn)
     elif method == "both":
-        cell_list = _cells_by_pattern(d) if kind == "canonical" else _cells_by_hull(d, fn)
+        cell_list = _cells_by_pattern(d)
         other = _cells_by_hull(d, fn)
         if cell_list != other:
             raise CertificationError(

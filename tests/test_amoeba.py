@@ -23,7 +23,6 @@ from tropical_pants.amoeba import (
     log_t,
     period_integral,
     sample_amoeba,
-    thread_count,
 )
 from tropical_pants.errors import (
     BranchError,
@@ -49,16 +48,6 @@ def test_log_map():
         log_t((0, 1, 1), 10.0)
     with pytest.raises(DomainError):
         log_t((1, 1, 1), 1.0)
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("TROPICAL_PANTS_THREADS", raising=False)
-    assert thread_count() == 1
-    assert thread_count(4) == 4
-    monkeypatch.setenv("TROPICAL_PANTS_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TROPICAL_PANTS_THREADS", "junk")
-    assert thread_count() == 1
 
 
 def test_durand_kerner_known_roots():
@@ -119,10 +108,10 @@ def test_sample_residuals_reproducible():
         assert abs(val) == pytest.approx(s.residual, abs=1e-15)
 
 
-def test_sample_determinism_and_threads():
+def test_sample_determinism():
     grid = AmoebaGrid((0.0, 8.0, 4), (0.0, 8.0, 4), 3, 3)
-    a = sample_amoeba(5, E4, grid, threads=1)
-    b = sample_amoeba(5, E4, grid, threads=3)
+    a = sample_amoeba(5, E4, grid)
+    b = sample_amoeba(5, E4, grid)
     assert a.samples == b.samples
     assert a.full_root_points == b.full_root_points
 

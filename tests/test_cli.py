@@ -105,7 +105,7 @@ def test_period_explicit_window(capsys):
     assert float(json.loads(out)["relative_error"]) < 0.1
 
 
-def test_amoeba_and_converge_determinism(capsys, tmp_path, monkeypatch):
+def test_amoeba_and_converge_determinism(capsys, tmp_path):
     args = [
         "amoeba", "--d", "1", "--t-list", "e8",
         "--grid", "0:16:3,0:16:3,2,2", "--out", str(tmp_path),
@@ -114,7 +114,6 @@ def test_amoeba_and_converge_determinism(capsys, tmp_path, monkeypatch):
     first = {
         p.name: p.read_bytes() for p in tmp_path.iterdir()
     }
-    monkeypatch.setenv("TROPICAL_PANTS_THREADS", "3")
     assert run(capsys, *args)[0] == 0
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
@@ -158,6 +157,12 @@ def test_config_file_overrides_flags(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n")
     assert run(capsys, "--config", str(bad), "subdivide", "--d", "2")[0] == 2
+    # the removed thread-count setting is now an unknown key
+    stale = tmp_path / "threads.cfg"
+    stale.write_text("threads = 2\n")
+    amoeba = ["amoeba", "--d", "1", "--t-list", "e4", "--grid", "0:8:2,0:8:2,2,2",
+              "--out", str(tmp_path)]
+    assert run(capsys, "--config", str(stale), *amoeba)[0] == 2
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "subdivide", "--d", "2")[0] == 2
 
 

@@ -1,12 +1,13 @@
 """Lattice primitives: enumeration, interior flags, normalized volume."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tropical_pants import lattice
-from tropical_pants.errors import DomainError
+from tropical_pants.errors import DegeneracyError, DomainError
 
 
 def brute_points(d):
@@ -99,3 +100,65 @@ def test_facet_helpers():
     assert not lattice.on_common_facet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 1)
     # triangle on x3 = 0
     assert lattice.on_common_facet([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 5)
+
+
+def _solve_oracle(rows, rhs):
+    """Gaussian elimination over Fractions; raises DegeneracyError if singular."""
+    n = len(rows)
+    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise DegeneracyError("singular linear system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+entry = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+row3 = st.lists(entry, min_size=3, max_size=3)
+
+
+@given(st.lists(row3, min_size=3, max_size=3), row3)
+def test_solve3_matches_elimination_oracle(rows, rhs):
+    if lattice.det3(*rows) == 0:
+        with pytest.raises(DegeneracyError):
+            lattice.solve3(rows, rhs)
+        with pytest.raises(DegeneracyError):
+            _solve_oracle(rows, rhs)
+        return
+    x = lattice.solve3(rows, rhs)
+    assert x == _solve_oracle(rows, rhs)
+    assert [sum(r[j] * x[j] for j in range(3)) for r in rows] == list(rhs)
+    for c in x:
+        assert isinstance(c, int) or c.denominator != 1
+
+
+@given(st.permutations(range(3)), st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.lists(st.integers(-9, 9), min_size=3, max_size=3), st.sampled_from((1, -1)))
+def test_solve3_unit_determinant_is_integral(perm, shear, rhs, sign):
+    # a signed permutation times an upper unitriangular shear has det +-1
+    u = [[1, shear[0], shear[1]], [0, 1, shear[2]], [0, 0, 1]]
+    rows = [list(u[i]) for i in perm]
+    rows[0] = [sign * c for c in rows[0]]
+    assert abs(lattice.det3(*rows)) == 1
+    x = lattice.solve3(rows, rhs)
+    assert all(type(c) is int for c in x)
+    assert x == _solve_oracle(rows, rhs)
+
+
+def test_solve3_singular_examples():
+    rank2 = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    for solver in (lattice.solve3, _solve_oracle):
+        with pytest.raises(DegeneracyError):
+            solver(rank2, [1, 2, 3])
+        with pytest.raises(DegeneracyError):
+            solver([[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 1]], [0, 0, 0])

@@ -1,6 +1,7 @@
 """Lifting function, supporting forms, subdivision construction, reference tables."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,20 @@ def test_supporting_form_interior_cell_d5():
     form = supporting_form([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
     assert form == AffineForm((44, 44, 63), -90)
     assert form((1, 1, 1)) == 61
+    assert all(type(c) is int for c in (*form.n, form.b))
+
+
+def test_supporting_form_volume_two_simplex():
+    # a custom lift on a normalized-volume-2 simplex: the form is not integral
+    vs = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert lattice.normalized_volume(vs) == 2
+    half = Fraction(1, 2)
+    lift = {(0, 0, 0): 0, (1, 1, 0): 1, (1, 0, 1): 0, (0, 1, 1): 0}
+    for order in (vs, vs[::-1]):
+        form = supporting_form(order, lift)
+        assert form == AffineForm((half, half, -half), 0)
+        assert all(isinstance(c, Fraction) for c in form.n)
+        assert all(form(v) == lift[v] for v in vs)
 
 
 def test_supporting_form_degenerate():
@@ -181,6 +196,13 @@ def test_subdivide_domain_error():
         subdivide(0)
     with pytest.raises(DomainError):
         subdivide(2, lift=lambda m: lift_value(m), method="pattern")
+
+
+def test_subdivide_both_rejects_custom_lift():
+    # "both" compares the pattern path with the hull path; a custom lift has
+    # no pattern path, so there is nothing to compare against
+    with pytest.raises(DomainError):
+        subdivide(2, lift=lambda m: lift_value(m), method="both")
 
 
 def test_json_export_roundtrip(sub_factory):
