@@ -5,11 +5,18 @@ w_i = t^(x_i) e^(i theta_i).  Exponents of t are never turned into bare
 floats; each polynomial solve rescales its coefficients by the dominant
 t-power first (the coefficients span hundreds of orders of magnitude at
 t = e^16, so this is not optional).
+
+The three numerical checks of the tropical limit (amoeba samples, limit
+fibers, periods) share one pipeline, _grid_roots: the grid is solved along
+the free axis in blocks of _GRID_BLOCK points (companion-matrix roots, see
+_AxisSolver) and every root's scaled residual comes from one batched
+evaluation, so memory is O(_GRID_BLOCK x |D_d|) whatever the grid size.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -27,14 +34,15 @@ from .errors import (
     NumericError,
 )
 from .lattice import Point3, solve3
-from .patchwork import PatchworkPolynomial, build_patchwork, eval_patchwork
+from .patchwork import PatchworkPolynomial, build_patchwork, eval_patchwork_many
 from .subdivision import RegularSubdivision, lift_value
 from .tropical import TropicalComplex, distance_many
 
 LOG = logging.getLogger(__name__)
 
-MAX_ROOT_ITERATIONS = 200
 ROOT_TOLERANCE = 1e-12
+# grid points per batched solve; bounds every per-block array of _grid_roots
+_GRID_BLOCK = 64
 
 
 def log_t(w: Sequence[complex], t: float) -> tuple[float, float, float]:
@@ -47,63 +55,58 @@ def log_t(w: Sequence[complex], t: float) -> tuple[float, float, float]:
     return tuple(math.log(abs(c)) / lt for c in w)
 
 
-class _RootFailure(Exception):
-    """Internal: the iterative solver did not converge for one grid point."""
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of each row's polynomial sum_j c[:, j] z^j (leading term nonzero).
 
-
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of an ascending-coefficient complex polynomial.
-
-    Simultaneous iteration, at most MAX_ROOT_ITERATIONS passes, relative
-    step tolerance ROOT_TOLERANCE.  Coefficients are expected O(1).
+    One batched eigenvalue call on the companion matrices; when LAPACK
+    rejects the stack, each matrix it rejects alone gets NaN roots.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    if n < 1:
-        return np.zeros(0, dtype=complex)
-    c = c / c[-1]
-    radius = 1.0 + float(np.abs(c[:-1]).max(initial=0.0))
-    k = np.arange(n)
-    z = radius ** (1.0 / n) * np.exp(2j * math.pi * (k + 0.354) / n)
-    desc = c[::-1]
-    for _ in range(MAX_ROOT_ITERATIONS):
-        p = np.polyval(desc, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        if not np.all(np.isfinite(denom)) or np.any(denom == 0):
-            raise _RootFailure("coincident iterates")
-        step = p / denom
-        z = z - step
-        if np.all(np.abs(step) <= ROOT_TOLERANCE * (1.0 + np.abs(z))):
-            return z
-    raise _RootFailure("no convergence after max iterations")
+    n = c.shape[1] - 1
+    comp = np.tile(np.eye(n, k=-1, dtype=complex), (len(c), 1, 1))
+    comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+    try:
+        return np.linalg.eigvals(comp)
+    except np.linalg.LinAlgError:
+        z = np.full((len(c), n), np.nan, dtype=complex)
+        for i, one in enumerate(comp):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                z[i] = np.linalg.eigvals(one)
+        return z
 
 
-def _newton_polish(coeffs: np.ndarray, z0: complex) -> complex:
-    c = np.asarray(coeffs, dtype=complex)
-    dc = c[1:] * np.arange(1, len(c))
-    desc, ddesc = c[::-1], dc[::-1]
-    z = z0
+def _newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """At most 40 Newton steps from every z[r, :] on row r's polynomial c[r].
+
+    A root stops after a step below ROOT_TOLERANCE (relative) or at a zero
+    derivative; one that never settles is returned as it stands.
+    """
+    active = np.isfinite(z)
     for _ in range(40):
-        dp = np.polyval(ddesc, z)
-        if dp == 0:
+        if not active.any():
             break
-        step = np.polyval(desc, z) / dp
-        z -= step
-        if abs(step) <= ROOT_TOLERANCE * (1.0 + abs(z)):
-            break
+        p, dp = np.zeros_like(z), np.zeros_like(z)
+        for j in range(c.shape[1] - 1, -1, -1):  # Horner for p and p'
+            p, dp = p * z + c[:, j : j + 1], dp * z + p
+        active &= dp != 0
+        step = np.zeros_like(z)
+        step[active] = p[active] / dp[active]
+        z = z - step
+        active &= np.abs(step) > ROOT_TOLERANCE * (1.0 + np.abs(z))
     return z
 
 
 class _AxisSolver:
     """Solves f_t = 0 along one coordinate with the other two fixed.
 
-    Terms are grouped by their exponent on the solve axis; per (x, theta)
-    each group collapses to one scaled complex coefficient and a t-power.
-    Root magnitudes are located on the upper hull of (k, t-power): each hull
-    segment is rescaled to O(1) coefficients, solved, and polished against
-    the full rescaled polynomial.
+    Terms are grouped by their exponent k on the solve axis.  At each point
+    a group collapses to an amplitude a_k times t^(g_k), g_k its largest
+    t-exponent, all from one batched evaluation per group.  Root magnitudes
+    sit on the upper hull of (k, g_k + log|a_k| / log t); points are grouped
+    by hull.  Each hull segment, rescaled to O(1) coefficients, is solved for
+    the whole group from its companion-matrix eigenvalues (backward stable:
+    Edelman and Murakami, Math. Comp. 64, 1995); batched Newton on the full
+    rescaled polynomial then polishes every root.  Memory is O(points x
+    terms), which _grid_roots bounds by solving fixed-size blocks.
     """
 
     def __init__(self, p: PatchworkPolynomial, t: float, axis: int):
@@ -111,67 +114,69 @@ class _AxisSolver:
             raise DomainError(f"axis must be 0, 1 or 2, got {axis}")
         if not t > 1.0:
             raise DomainError(f"t must exceed 1, got {t}")
+        self.p = p
         self.axis = axis
         self.t = t
         self.logt = math.log(t)
-        self.others = tuple(i for i in range(3) if i != axis)
-        self.degree = p.d
-        self.groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in range(p.d + 1):
-            ms = [m for m, _ in p.terms if m[axis] == k]
-            vs = [v for m, v in p.terms if m[axis] == k]
-            proj = np.array([[m[self.others[0]], m[self.others[1]]] for m in ms], dtype=float)
-            self.groups.append((proj, np.array(vs, dtype=float)))
+        self.others = [i for i in range(3) if i != axis]
+        # group k: the terms with solve-axis exponent k, that exponent zeroed
+        flat = [(tuple(c * (i != axis) for i, c in enumerate(m)), v, m[axis]) for m, v in p.terms]
+        self.groups = [
+            PatchworkPolynomial(p.d, tuple((m, v) for m, v, mk in flat if mk == k))
+            for k in range(p.d + 1)
+        ]
 
-    def roots(self, x_fixed: tuple[float, float], theta_fixed: tuple[float, float]):
-        """Roots as (x_axis, theta_axis) pairs; raises _RootFailure on failure."""
-        xf = np.asarray(x_fixed, dtype=float)
-        tf = np.asarray(theta_fixed, dtype=float)
-        ks, gs, amps = [], [], []
-        for k, (proj, vs) in enumerate(self.groups):
-            exps = proj @ xf - vs
-            g = float(exps.max())
-            a = complex(np.sum(np.exp((exps - g) * self.logt) * np.exp(1j * (proj @ tf))))
-            if a == 0:
-                continue
-            ks.append(k)
-            gs.append(g)
-            amps.append(a)
-        # effective t-exponent of each coefficient, amplitude folded in
-        hs = [g + math.log(abs(a)) / self.logt for g, a in zip(gs, amps)]
-        if len(ks) < 2:
-            return []
-        hull = _upper_hull(ks, hs)
+    def roots(self, xf: np.ndarray, tf: np.ndarray):
+        """Roots at the N points of (N, 2) fixed coordinates and angles.
 
-        found: list[tuple[float, float]] = []
-        for (k1, h1), (k2, h2) in zip(hull, hull[1:]):
-            xi = (h1 - h2) / (k2 - k1)
-            gamma = h1 + k1 * xi
-            scaled = np.zeros(self.degree + 1, dtype=complex)
-            for k, g, a in zip(ks, gs, amps):
-                e = (g + k * xi - gamma) * self.logt
-                scaled[k] = a * math.exp(e) if e > -700 else 0.0
-            i1, i2 = ks.index(k1), ks.index(k2)
-            sub = np.zeros(k2 - k1 + 1, dtype=complex)
-            for k, g, a in zip(ks[i1 : i2 + 1], gs[i1 : i2 + 1], amps[i1 : i2 + 1]):
-                e = (g + k * xi - gamma) * self.logt
-                sub[k - k1] = a * math.exp(e) if e > -700 else 0.0
-            for z in _durand_kerner(sub):
-                z = _newton_polish(scaled, complex(z))
-                if z == 0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    continue
-                found.append((xi + math.log(abs(z)) / self.logt, cmath.phase(z)))
+        Returns flat point, x_axis and theta_axis arrays ordered by point, and
+        a per-point failed mask: a point fails, with no roots, when one of its
+        companion matrices has a non-finite eigenvalue.  Zero and non-finite
+        roots are dropped, and so is one within 1e-8 (in x log t and theta) of
+        an earlier root, which neighbouring segments can both converge to.
+        """
+        n_pts, d, logt = len(xf), self.p.d, self.logt
+        x, theta = np.zeros((n_pts, 3)), np.zeros((n_pts, 3))
+        x[:, self.others], theta[:, self.others] = xf, tf
+        amp, g = np.empty((n_pts, d + 1), dtype=complex), np.empty((n_pts, d + 1))
+        for k, group in enumerate(self.groups):
+            a, g[:, k] = eval_patchwork_many(group, self.t, x, theta)
+            amp[:, k] = a[:, 0]
+        with np.errstate(divide="ignore"):  # a_k == 0 gives -inf and drops out
+            h = g + np.log(np.abs(amp)) / logt
 
-        # segment solves can converge to the same root from both sides
-        unique: list[tuple[float, float]] = []
-        for xa, ta in found:
-            dup = any(
-                abs(xa - xb) * self.logt < 1e-8 and abs(math.remainder(ta - tb, 2 * math.pi)) < 1e-8
-                for xb, tb in unique
-            )
-            if not dup:
-                unique.append((xa, ta))
-        return unique
+        by_hull: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(h.tolist()):
+            ks = [k for k in range(d + 1) if row[k] > -math.inf]
+            if len(ks) >= 2:
+                hull = tuple(k for k, _ in _upper_hull(ks, [row[k] for k in ks]))
+                by_hull.setdefault(hull, []).append(i)
+
+        xs, ths = np.zeros((n_pts, d)), np.zeros((n_pts, d))
+        keep, failed = np.zeros((n_pts, d), dtype=bool), np.zeros(n_pts, dtype=bool)
+        for hull, rows in by_hull.items():
+            hg = h[rows]
+            for k1, k2 in zip(hull, hull[1:]):
+                xi = (hg[:, k1] - hg[:, k2]) / (k2 - k1)
+                gamma = hg[:, k1] + k1 * xi
+                # magnitude t^(h_k + k xi - gamma) <= 1, exactly 1 at k1 and k2
+                e = (hg + np.arange(d + 1) * xi[:, None] - gamma[:, None]) * logt
+                scaled = np.exp(e + 1j * np.angle(amp[rows]))
+                z = _companion_roots(scaled[:, k1 : k2 + 1])
+                failed[np.array(rows)[~np.isfinite(z).all(axis=1)]] = True
+                z = _newton(scaled, z)
+                cols = np.ix_(rows, range(k1 - hull[0], k2 - hull[0]))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xs[cols] = xi[:, None] + np.log(np.abs(z)) / logt
+                ths[cols], keep[cols] = np.angle(z), np.isfinite(z) & (z != 0)
+        keep[failed] = False
+        for j in range(1, d):  # neighbouring segments can converge to one root
+            gap = np.mod(ths[:, :j] - ths[:, j : j + 1], 2 * math.pi)
+            near = np.abs(xs[:, :j] - xs[:, j : j + 1]) * logt < 1e-8
+            near &= np.minimum(gap, 2 * math.pi - gap) < 1e-8
+            keep[:, j] &= ~(near & keep[:, :j]).any(axis=1)
+        point, slot = np.nonzero(keep)
+        return point, xs[point, slot], ths[point, slot], failed
 
 
 def _upper_hull(ks: list[int], hs: list[float]) -> list[tuple[int, float]]:
@@ -217,6 +222,24 @@ def _angles(n: int) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(n) + 0.5) / n
 
 
+def _grid_roots(solver: _AxisSolver, grid: np.ndarray, coeffs=None):
+    """Solve the axis at each row (x_j, x_k, theta_j, theta_k) of grid.
+
+    Yields per block of _GRID_BLOCK rows (start, failed, point, x, theta,
+    sums): the block's first row and per-row failure mask, then per root
+    its row (ascending), full (x, theta) and the eval_patchwork_many sums
+    there; without coeffs, |sums[:, 0]| is the root's scaled residual.
+    """
+    for start in range(0, len(grid), _GRID_BLOCK):
+        block = grid[start : start + _GRID_BLOCK]
+        point, x_axis, theta_axis, failed = solver.roots(block[:, :2], block[:, 2:])
+        x, theta = np.empty((len(point), 3)), np.empty((len(point), 3))
+        x[:, solver.others], x[:, solver.axis] = block[point, :2], x_axis
+        theta[:, solver.others], theta[:, solver.axis] = block[point, 2:], theta_axis
+        sums, _ = eval_patchwork_many(solver.p, solver.t, x, theta, coeffs)
+        yield start, failed, start + point, x, theta, sums
+
+
 @dataclass(frozen=True)
 class AmoebaSample:
     x: tuple[float, float, float]
@@ -250,46 +273,38 @@ def sample_amoeba(
     """Sample the log image of the hypersurface over a 4-dimensional grid.
 
     For each (x_i, x_j, theta_i, theta_j) the remaining coordinate is solved.
-    Non-convergent grid points are skipped and counted; accepted roots carry
-    an independently evaluated scaled residual, all below residual_tol.
+    Failed grid points are skipped and counted; accepted roots carry an
+    independently evaluated scaled residual, all below residual_tol.
     """
-    p = build_patchwork(d)
-    solver = _AxisSolver(p, t, axis)
-    xs1 = _axis_values(*grid.x1)
-    xs2 = _axis_values(*grid.x2)
-    th1 = _angles(grid.n_theta1)
-    th2 = _angles(grid.n_theta2)
+    solver = _AxisSolver(build_patchwork(d), t, axis)
+    axes = (_axis_values(*grid.x1), _axis_values(*grid.x2))
+    angles = (_angles(grid.n_theta1), _angles(grid.n_theta2))
+    # one set of Python floats per grid point, shared by its samples (memory)
+    points = list(product(*(v.tolist() for v in axes + angles)))
     j, k = solver.others
 
-    n_points = len(xs1) * len(xs2) * len(th1) * len(th2)
     samples: list[AmoebaSample] = []
     failed = rejected = full = 0
-    for xj, xk, tj, tk in product(xs1.tolist(), xs2.tolist(), th1.tolist(), th2.tolist()):
-        try:
-            roots = solver.roots((xj, xk), (tj, tk))
-        except _RootFailure:
-            failed += 1
-            continue
-        kept = 0
-        for ridx, (xa, ta) in enumerate(roots):
-            x = [0.0, 0.0, 0.0]
-            th = [0.0, 0.0, 0.0]
-            x[j], x[k], x[axis] = xj, xk, xa
-            th[j], th[k], th[axis] = tj, tk, ta
-            val, _ = eval_patchwork(p, t, x, th)
-            resid = abs(val)
-            if resid > residual_tol:
-                rejected += 1
-                continue
-            samples.append(AmoebaSample(tuple(x), tuple(th), ridx, resid))
-            kept += 1
-        if kept == d:
-            full += 1
+    for start, bad, point, x, theta, sums in _grid_roots(solver, np.array(points)):
+        failed += int(bad.sum())
+        resid = np.abs(sums[:, 0])
+        ok = resid <= residual_tol
+        rejected += int((~ok).sum())
+        full += int((np.bincount(point[ok] - start, minlength=len(bad)) == d).sum())
+        root_index = (np.arange(len(point)) - np.searchsorted(point, point)).tolist()
+        cols = point.tolist(), x[:, axis].tolist(), theta[:, axis].tolist(), resid.tolist()
+        for r in np.flatnonzero(ok).tolist():
+            g, xa, ta, res = (c[r] for c in cols)
+            xj, xk, tj, tk = points[g]
+            xs, ths = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+            xs[j], xs[k], xs[axis] = xj, xk, xa
+            ths[j], ths[k], ths[axis] = tj, tk, ta
+            samples.append(AmoebaSample(tuple(xs), tuple(ths), root_index[r], res))
     if failed:
         LOG.warning(
-            "root solve failed at %d of %d grid points (d=%d, t=%g)", failed, n_points, d, t
+            "root solve failed at %d of %d grid points (d=%d, t=%g)", failed, len(points), d, t
         )
-    return SampleCloud(d, t, axis, samples, n_points, failed, rejected, full)
+    return SampleCloud(d, t, axis, samples, len(points), failed, rejected, full)
 
 
 def cloud_rows(cloud: SampleCloud):
@@ -320,7 +335,16 @@ def convergence_study(
     comp: TropicalComplex | None = None,
     axis: int = 2,
 ) -> list[ConvergenceRow]:
-    """One-sided distance from each sample cloud to the tropical complex."""
+    """One-sided distance from each sample cloud to the tropical complex.
+
+    Each sample must satisfy dist(x) <= log((N-1)/(1-r)) / log t, N = |D_d|,
+    r its scaled residual, or NumericError is raised.  Proof: the largest
+    term m* has scaled size 1, so the other N-1 sum to at least 1-r and the
+    second largest, m2, is at least (1-r)/(N-1); so (L_m* - L_m2)(x) log t
+    <= log((N-1)/(1-r)), and distance_many's closed form with |m* - m2| >= 1
+    gives the bound.  It is the elementary case of the Archimedean amoeba
+    estimates of Avendano-Kogan-Nisse-Rojas (J. Complexity 2018, 1307.3681).
+    """
     ts = [float(t) for t in t_list]
     if not ts:
         raise DomainError("need at least one deformation parameter")
@@ -331,12 +355,21 @@ def convergence_study(
         from .tropical import build_tropical
 
         comp = build_tropical(subdivide(d))
+    n_terms = (d + 1) * (d + 2) * (d + 3) // 6
     rows = []
     for t in ts:
         cloud = sample_amoeba(d, t, grid, axis=axis)
         if not cloud.samples:
             raise CoverageError(f"no accepted samples at t={t}")
         dist = distance_many(cloud.points_array(), comp)
+        resid = np.array([s.residual for s in cloud.samples])
+        bound = np.log((n_terms - 1) / (1.0 - resid)) / math.log(t)
+        if not np.all(dist <= bound):
+            i = int(np.argmax(dist - bound))
+            raise NumericError(
+                f"sample {cloud.samples[i].x} at t={t} is {dist[i]:.6g} from the complex, "
+                f"beyond the bound {bound[i]:.6g}"
+            )
         rows.append(
             ConvergenceRow(
                 t,
@@ -476,7 +509,7 @@ class FiberResiduals:
     n_samples: int
     angle_residual: float
     ratio_residual: float
-    failed_points: int  # grid points whose root solve did not converge
+    failed_points: int  # grid points whose root solve failed
 
 
 def limit_fiber_check(
@@ -493,48 +526,28 @@ def limit_fiber_check(
     samples whose log image lands in the window are reported; grid points
     whose root solve fails are skipped and counted.
     """
-    if not t > 1.0:
-        raise DomainError(f"t must exceed 1, got {t}")
-    p = build_patchwork(probe.d)
-    solver = _AxisSolver(p, t, probe.axis)
+    solver = _AxisSolver(build_patchwork(probe.d), t, probe.axis)
     j, k = solver.others
     logt = math.log(t)
-    lo = tuple(float(v) for v in probe.lo)
-    hi = tuple(float(v) for v in probe.hi)
-    direction = probe.direction
-    vm = np.array(probe.m, dtype=float)
-    vmp = np.array(probe.m_prime, dtype=float)
-    cm, cmp_ = float(lift_value(probe.m)), float(lift_value(probe.m_prime))
+    lo, hi = np.array(probe.lo, dtype=float), np.array(probe.hi, dtype=float)
+    direction = np.array(probe.direction, dtype=float)
+    lift_gap = float(lift_value(probe.m_prime) - lift_value(probe.m))
+    axes = _axis_values(lo[j], hi[j], n_x), _axis_values(lo[k], hi[k], n_x)
+    grid = np.array(list(product(*axes, _angles(n_theta), _angles(n_theta))))
 
     angle_res = ratio_res = -1.0
     n_kept = failed = 0
-    for xj in _axis_values(lo[j], hi[j], n_x):
-        for xk in _axis_values(lo[k], hi[k], n_x):
-            for tj in _angles(n_theta):
-                for tk in _angles(n_theta):
-                    try:
-                        roots = solver.roots((float(xj), float(xk)), (float(tj), float(tk)))
-                    except _RootFailure:
-                        failed += 1
-                        continue
-                    for xa, ta in roots:
-                        x = [0.0, 0.0, 0.0]
-                        th = [0.0, 0.0, 0.0]
-                        x[j], x[k], x[probe.axis] = float(xj), float(xk), xa
-                        th[j], th[k], th[probe.axis] = float(tj), float(tk), ta
-                        if not all(lo[i] <= x[i] <= hi[i] for i in range(3)):
-                            continue
-                        val, _ = eval_patchwork(p, t, x, th)
-                        if abs(val) > residual_tol:
-                            continue
-                        n_kept += 1
-                        phi = sum(direction[i] * th[i] for i in range(3))
-                        angle = abs(math.remainder(phi - math.pi, 2 * math.pi))
-                        xv = np.array(x)
-                        gap = (float(vmp @ xv) - cmp_) - (float(vm @ xv) - cm)
-                        ratio = abs(math.exp(logt * gap) - 1.0)
-                        angle_res = max(angle_res, angle)
-                        ratio_res = max(ratio_res, ratio)
+    for _, bad, _, x, theta, sums in _grid_roots(solver, grid):
+        failed += int(bad.sum())
+        inside = np.all((lo <= x) & (x <= hi), axis=1) & (np.abs(sums[:, 0]) <= residual_tol)
+        x, theta = x[inside], theta[inside]
+        n_kept += len(x)
+        phi = np.mod(theta @ direction - math.pi, 2 * math.pi)
+        angle = np.minimum(phi, 2 * math.pi - phi)
+        gap = -(x @ direction) - lift_gap  # L_m'(x) - L_m(x)
+        ratio = np.abs(np.exp(logt * gap) - 1.0)
+        angle_res = max(angle_res, float(angle.max(initial=-1.0)))
+        ratio_res = max(ratio_res, float(ratio.max(initial=-1.0)))
     if n_kept == 0:
         raise CoverageError("no amoeba samples landed in the window")
     return FiberResiduals(t, n_kept, angle_res, ratio_res, failed)
@@ -581,59 +594,43 @@ def period_integral(
     target = 4.0 * math.pi**2 / float(probe.m_prime[2] - probe.m[2])
 
     if mode == "consistency":
-        acc = 0.0 + 0.0j
+        # the limit integrand is constant, so the n^2-node sum is closed form
         integrand = 1.0 / float(probe.m[2] - probe.m_prime[2])
-        for _ in range(n * n):
-            acc += integrand
-        value = -((2.0 * math.pi / n) ** 2) * acc
+        value = -((2.0 * math.pi / n) ** 2) * (n * n) * integrand
         return PeriodEstimate(complex(value), t, n, target, mode)
 
     if probe.axis != 2:
         raise DomainError("numeric mode solves the third coordinate; build the probe with axis=2")
-    p = build_patchwork(probe.d)
-    solver = _AxisSolver(p, t, 2)
-    logt = math.log(t)
-    ms = np.array([m for m, _ in p.terms], dtype=float)
-    vs = np.array([v for _, v in p.terms], dtype=float)
-    m3 = ms[:, 2].copy()
-    mvec = np.array(probe.m, dtype=float)
-    vm = float(next(v for mm, v in p.terms if mm == probe.m))
-
-    x1, x2 = probe.x_star[0], probe.x_star[1]
+    solver = _AxisSolver(build_patchwork(probe.d), t, 2)
+    # per root: the residue denominator sum m_3 Z_m and the numerator Z_m of the pair's m
+    coeffs = np.array([[m[2], float(m == probe.m)] for m, _ in solver.p.terms], dtype=float)
     x3_star = probe.x_star[2]
     angles = 2.0 * math.pi * np.arange(n) / n
+    nodes = np.array(list(product([probe.x_star[0]], [probe.x_star[1]], angles, angles)))
 
-    def predict_theta3(t1: float, t2: float) -> float:
-        return (math.pi - dm[0] * t1 - dm[1] * t2) / dm[2]
+    def arc(a: float) -> float:  # distance to the nearest multiple of 2 pi
+        return abs(math.remainder(a, 2 * math.pi))
 
-    acc = 0.0 + 0.0j
-    row_anchor: tuple[float, float] | None = None
-    for i1 in range(n):
-        t1 = float(angles[i1])
-        prev = row_anchor
-        for i2 in range(n):
-            t2 = float(angles[i2])
-            try:
-                roots = solver.roots((x1, x2), (t1, t2))
-            except _RootFailure as exc:
-                raise NumericError(f"root solve failed at theta=({t1:.4f},{t2:.4f}): {exc}")
+    acc, prev, row_anchor = 0j, None, None
+    for start, failed, point, x, theta, sums in _grid_roots(solver, nodes, coeffs):
+        bounds = np.searchsorted(point, np.arange(start, start + len(failed) + 1)).tolist()
+        x3s, t3s, dens, nums = x[:, 2].tolist(), theta[:, 2].tolist(), *sums.T.tolist()
+        for b in range(len(failed)):
+            i2 = (start + b) % n
+            t1, t2 = nodes[start + b, 2:].tolist()
+            if failed[b]:
+                raise NumericError(f"root solve failed at theta=({t1:.4f},{t2:.4f})")
+            lo, hi = bounds[b], bounds[b + 1]
+            roots = list(zip(x3s[lo:hi], t3s[lo:hi]))
             if not roots:
                 raise NumericError(f"no roots at theta=({t1:.4f},{t2:.4f})")
-            if prev is None:
-                pred = predict_theta3(t1, t2)
-                scores = [
-                    (abs(xa - x3_star), abs(math.remainder(ta - pred, 2 * math.pi)))
-                    for xa, ta in roots
-                ]
+            if i2 == 0:
+                prev = row_anchor
+            if prev is None:  # start from the limit fiber's angle condition
+                pred = (math.pi - dm[0] * t1 - dm[1] * t2) / dm[2]
+                scores = [(abs(xa - x3_star), arc(ta - pred)) for xa, ta in roots]
             else:
-                scores = [
-                    (
-                        abs(xa - prev[0])
-                        + abs(math.remainder(ta - prev[1], 2 * math.pi)),
-                        0.0,
-                    )
-                    for xa, ta in roots
-                ]
+                scores = [(abs(xa - prev[0]) + arc(ta - prev[1]), 0.0) for xa, ta in roots]
             order = sorted(range(len(roots)), key=lambda i: scores[i])
             if len(order) > 1:
                 s0, s1 = scores[order[0]], scores[order[1]]
@@ -642,20 +639,11 @@ def period_integral(
                         f"ambiguous branch at theta=({t1:.4f},{t2:.4f}): "
                         f"roots {roots[order[0]]} and {roots[order[1]]}"
                     )
-            x3, t3 = roots[order[0]]
-            prev = (x3, t3)
+            prev = roots[order[0]]
             if i2 == 0:
                 row_anchor = prev
 
-            x = np.array([x1, x2, x3])
-            th = np.array([t1, t2, t3])
-            exps = ms @ x - vs
-            big = float(exps.max())
-            weights = np.exp((exps - big) * logt) * np.exp(1j * (ms @ th))
-            den = complex(np.sum(m3 * weights))
-            num = math.exp((float(mvec @ x) - vm - big) * logt) * cmath.exp(
-                1j * float(mvec @ th)
-            )
+            den, num = dens[lo + order[0]], nums[lo + order[0]]
             if den == 0 or not cmath.isfinite(den):
                 raise NumericError(f"degenerate residue denominator at theta=({t1:.4f},{t2:.4f})")
             acc += num / den

@@ -12,7 +12,6 @@ overflow to detect.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import DegeneracyError, DomainError
@@ -140,8 +139,3 @@ def on_common_facet(points: Iterable[Sequence[int]], d: int) -> bool:
         if not common:
             return False
     return bool(common)
-
-
-def permutation_images(s: Simplex3) -> list[Simplex3]:
-    """All vertex orderings of a simplex (testing helper)."""
-    return [tuple(p) for p in permutations(s)]  # type: ignore[list-item]

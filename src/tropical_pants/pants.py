@@ -128,8 +128,11 @@ def k3_blocks(
 ) -> tuple[list[K3Block], BlockVerdict]:
     """Per interior lattice point, the cells inside its translated degree-4 simplex.
 
-    Also certifies the covering identity: translating every non-pants member
-    of every block back to the origin reproduces the degree-4 subdivision.
+    The 64 cells of the degree-4 subdivision, translated to the block, are
+    looked up in the cell index; a missing one raises.  The window has volume
+    64, so 64 unimodular cells inside it leave room for no other cell.  Also
+    certifies the covering identity: translating every non-pants member of
+    every block back to the origin reproduces the degree-4 subdivision.
     """
     d = sub.d
     if d < 5:
@@ -138,24 +141,19 @@ def k3_blocks(
         cls = classify_cells(sub)
     pants = set(cls.pants_ids)
 
+    # a translate keeps the lexicographic vertex order, so it is already a key
+    reference = {c.vertices for c in subdivide(4).cells}
+    index = sub.cell_index()
     blocks: list[K3Block] = []
     for m in lattice.interior_points(d):
-        base = (m[0] - 1, m[1] - 1, m[2] - 1)
-        ids = [
-            c.id
-            for c in sub.cells
-            if all(
-                lattice.in_delta((v[0] - base[0], v[1] - base[1], v[2] - base[2]), 4)
-                for v in c.vertices
-            )
-        ]
-        if len(ids) != 64:
-            raise LemmaViolationError(
-                f"block at {m} has {len(ids)} cells, expected 64"
-            )
-        blocks.append(K3Block(m, tuple(ids)))
+        ids = []
+        for vs in reference:
+            key = tuple((v[0] + m[0] - 1, v[1] + m[1] - 1, v[2] + m[2] - 1) for v in vs)
+            if key not in index:
+                raise LemmaViolationError(f"block at {m} lacks the translated cell {key}")
+            ids.append(index[key])
+        blocks.append(K3Block(m, tuple(sorted(ids))))
 
-    reference = {c.vertices for c in subdivide(4).cells}
     union: set[Simplex3] = set()
     for blk in blocks:
         base = (blk.m[0] - 1, blk.m[1] - 1, blk.m[2] - 1)

@@ -42,29 +42,42 @@ def build_patchwork(d: int, lift: LiftLike = None) -> PatchworkPolynomial:
     )
 
 
-def eval_patchwork(
-    p: PatchworkPolynomial,
-    t: float,
-    x: Sequence[float],
-    theta: Sequence[float],
-) -> tuple[complex, float]:
-    """Scaled value f_t(w) * t^(-L) at w_i = exp(x_i log t + i theta_i), plus L.
+_EVAL_CHUNK_ELEMENTS = 2**13  # complex (point, term) elements held at once
 
-    L is the largest t-exponent <m,x> - v(m) over all terms; factoring it out
-    keeps every summand in [0, 1] in magnitude.
+
+def eval_patchwork_many(p: PatchworkPolynomial, t: float, x, theta, coeffs=None):
+    """Scaled sums sum_m coeffs[m, k] Z_m at the rows of x and theta, and each L.
+
+    Z_m = t^(<m,x> - v(m) - L) e^(i<m,theta>), with L the largest t-exponent
+    <m,x> - v(m), so every |Z_m| <= 1; m runs over p.terms.  Without coeffs
+    the one column is the scaled value f_t(w) t^(-L).  Rows go in chunks of a
+    fixed element budget, so memory does not grow with their number.
     """
     if not t > 1.0:
         raise DomainError(f"t must exceed 1, got {t}")
     ms = np.array([m for m, _ in p.terms], dtype=float)
     vs = np.array([v for _, v in p.terms], dtype=float)
-    exps = ms @ np.asarray(x, dtype=float) - vs
-    big = float(exps.max())
-    logt = math.log(t)
-    phases = ms @ np.asarray(theta, dtype=float)
-    val = complex(np.sum(np.exp((exps - big) * logt) * np.exp(1j * phases)))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise NumericError(f"non-finite scaled value at x={tuple(x)}, t={t}")
-    return val, big
+    c = np.ones((len(ms), 1)) if coeffs is None else np.asarray(coeffs, dtype=float)
+    x, theta = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (x, theta))
+    vals, big = np.empty((len(x), c.shape[1]), dtype=complex), np.empty(len(x))
+    step = max(1, _EVAL_CHUNK_ELEMENTS // len(ms))
+    for i in range(0, len(x), step):
+        exps = x[i : i + step] @ ms.T - vs
+        big[i : i + step] = exps.max(axis=1)
+        logz = (exps - big[i : i + step, None]) * math.log(t) + 1j * (theta[i : i + step] @ ms.T)
+        vals[i : i + step] = np.exp(logz) @ c
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite scaled value at x={tuple(x[bad][0].tolist())}, t={t}")
+    return vals, big
+
+
+def eval_patchwork(
+    p: PatchworkPolynomial, t: float, x: Sequence[float], theta: Sequence[float]
+) -> tuple[complex, float]:
+    """Scaled value f_t(w) t^(-L) at one point, and L (see eval_patchwork_many)."""
+    vals, big = eval_patchwork_many(p, t, x, theta)
+    return complex(vals[0, 0]), float(big[0])
 
 
 def _barycentric(vertices: Sequence[Point3], m: Point3) -> list:

@@ -1,19 +1,22 @@
 """Numerical sampling paths: root solving, clouds, fibers, periods."""
 
+import cmath
+import itertools
 import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tropical_pants import amoeba as am
 from tropical_pants.amoeba import (
     AmoebaGrid,
     CLOUD_HEADER,
+    ROOT_TOLERANCE,
     _AxisSolver,
-    _RootFailure,
     _angles,
-    _durand_kerner,
     _upper_hull,
     _wedge_empty,
     cloud_rows,
@@ -28,6 +31,7 @@ from tropical_pants.errors import (
     BranchError,
     CoverageError,
     DomainError,
+    NumericError,
 )
 from tropical_pants.patchwork import build_patchwork, eval_patchwork
 from tropical_pants.serialization import write_csv
@@ -50,12 +54,133 @@ def test_log_map():
         log_t((1, 1, 1), 1.0)
 
 
+# -- scalar oracle: the per-point Durand-Kerner solver the batch replaced -----
+
+
+class _RootFailure(Exception):
+    """The oracle's iteration did not converge for one grid point."""
+
+
+def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of an ascending-coefficient complex polynomial (O(1) coefficients)."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = len(c) - 1
+    if n < 1:
+        return np.zeros(0, dtype=complex)
+    c = c / c[-1]
+    radius = 1.0 + float(np.abs(c[:-1]).max(initial=0.0))
+    z = radius ** (1.0 / n) * np.exp(2j * math.pi * (np.arange(n) + 0.354) / n)
+    desc = c[::-1]
+    for _ in range(200):
+        p = np.polyval(desc, z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        denom = diff.prod(axis=1)
+        if not np.all(np.isfinite(denom)) or np.any(denom == 0):
+            raise _RootFailure("coincident iterates")
+        step = p / denom
+        z = z - step
+        if np.all(np.abs(step) <= ROOT_TOLERANCE * (1.0 + np.abs(z))):
+            return z
+    raise _RootFailure("no convergence after max iterations")
+
+
+def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
+    c = np.asarray(coeffs, dtype=complex)
+    desc, ddesc = c[::-1], (c[1:] * np.arange(1, len(c)))[::-1]
+    for _ in range(40):
+        dp = np.polyval(ddesc, z)
+        if dp == 0:
+            break
+        step = np.polyval(desc, z) / dp
+        z -= step
+        if abs(step) <= ROOT_TOLERANCE * (1.0 + abs(z)):
+            break
+    return z
+
+
+def _scalar_roots(solver, x_fixed, theta_fixed) -> list[tuple[float, float]]:
+    """One point's (x_axis, theta_axis) roots, one hull segment at a time."""
+    others = [i for i in range(3) if i != solver.axis]
+    ks, gs, amps = [], [], []
+    for k in range(solver.p.d + 1):
+        terms = [(m, v) for m, v in solver.p.terms if m[solver.axis] == k]
+        proj = np.array([[m[i] for i in others] for m, _ in terms], dtype=float)
+        vs = np.array([v for _, v in terms], dtype=float)
+        exps = proj @ np.asarray(x_fixed, dtype=float) - vs
+        g = float(exps.max())
+        a = complex(
+            np.sum(np.exp((exps - g) * solver.logt) * np.exp(1j * (proj @ np.asarray(theta_fixed))))
+        )
+        if a != 0:
+            ks.append(k)
+            gs.append(g)
+            amps.append(a)
+    if len(ks) < 2:
+        return []
+    hull = _upper_hull(ks, [g + math.log(abs(a)) / solver.logt for g, a in zip(gs, amps)])
+    found = []
+    for (k1, h1), (k2, h2) in zip(hull, hull[1:]):
+        xi = (h1 - h2) / (k2 - k1)
+        gamma = h1 + k1 * xi
+        scaled = np.zeros(solver.p.d + 1, dtype=complex)
+        for k, g, a in zip(ks, gs, amps):
+            e = (g + k * xi - gamma) * solver.logt
+            scaled[k] = a * math.exp(e) if e > -700 else 0.0
+        for z in _durand_kerner(scaled[k1 : k2 + 1]):
+            z = _newton_polish(scaled, complex(z))
+            if z != 0 and cmath.isfinite(z):
+                found.append((xi + math.log(abs(z)) / solver.logt, cmath.phase(z)))
+    unique: list[tuple[float, float]] = []
+    for xa, ta in found:
+        if not any(
+            abs(xa - xb) * solver.logt < 1e-8 and abs(math.remainder(ta - tb, 2 * math.pi)) < 1e-8
+            for xb, tb in unique
+        ):
+            unique.append((xa, ta))
+    return unique
+
+
 def test_durand_kerner_known_roots():
     expected = [1.0 + 0j, 2j, -3.0 + 0j]
     coeffs = np.poly(expected)[::-1]  # ascending
     got = sorted(_durand_kerner(coeffs), key=lambda z: (z.real, z.imag))
     for g, e in zip(got, sorted(expected, key=lambda z: (z.real, z.imag))):
         assert abs(g - e) < 1e-10
+
+
+_PATCHWORKS = {d: build_patchwork(d) for d in range(1, 6)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(2.0, 16.0),
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(
+            st.floats(-4.0, 20.0),
+            st.floats(-4.0, 20.0),
+            st.floats(0.0, 2 * math.pi),
+            st.floats(0.0, 2 * math.pi),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_batched_roots_match_scalar_oracle(d, logt, axis, pts):
+    solver = _AxisSolver(_PATCHWORKS[d], math.exp(logt), axis)
+    grid = np.array(pts)
+    point, x_axis, theta_axis, failed = solver.roots(grid[:, :2], grid[:, 2:])
+    assert not failed.any()
+    for i, row in enumerate(grid):
+        expected = _scalar_roots(solver, row[:2], row[2:])
+        got = list(zip(x_axis[point == i], theta_axis[point == i]))
+        assert len(got) == len(expected)
+        for xa, ta in expected:
+            assert min(
+                max(abs(xb - xa), abs(math.remainder(tb - ta, 2 * math.pi))) for xb, tb in got
+            ) < 1e-9
 
 
 def test_upper_hull():
@@ -81,11 +206,53 @@ def test_d1_root_closed_form():
     # deep in the third unbounded leg the root balances 1 against w3,
     # so its log image must sit at the lift value 13
     solver = _AxisSolver(build_patchwork(1), E16, 2)
-    roots = solver.roots((-100.0, -100.0), (0.0, 0.0))
-    assert len(roots) == 1
-    x3, theta3 = roots[0]
-    assert abs(x3 - 13.0) < 0.05
-    assert abs(abs(theta3) - math.pi) < 1e-9
+    point, x_axis, theta_axis, failed = solver.roots([[-100.0, -100.0]], [[0.0, 0.0]])
+    assert point.tolist() == [0] and failed.tolist() == [False]
+    assert abs(x_axis[0] - 13.0) < 0.05
+    assert abs(abs(theta_axis[0]) - math.pi) < 1e-9
+
+
+def _d1_grid():
+    axis = np.linspace(0.0, 16.0, 3)
+    grid = np.array(list(itertools.product(axis, axis, _angles(2), _angles(2))))
+    return _AxisSolver(build_patchwork(1), E8, 2), grid[:, :2], grid[:, 2:]
+
+
+def test_non_finite_eigenvalue_fails_the_point(monkeypatch):
+    solver, xf, tf = _d1_grid()
+    clean = solver.roots(xf, tf)
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        z = real(a)
+        z[0] = np.nan  # d=1: one hull for all points, so row 0 is point 0
+        return z
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    point, x_axis, _, failed = solver.roots(xf, tf)
+    assert failed.tolist() == [True] + [False] * (len(xf) - 1)
+    assert point.tolist() == clean[0][clean[0] != 0].tolist()
+    assert np.array_equal(x_axis, clean[1][clean[0] != 0])
+
+
+def test_eigenvalue_error_fails_only_its_point(monkeypatch):
+    # LAPACK refusing one matrix of the stack must not fail the others
+    solver, xf, tf = _d1_grid()
+    clean = solver.roots(xf, tf)
+    real = np.linalg.eigvals
+    calls = []
+
+    def eigvals(a):
+        calls.append(a.ndim)
+        if a.ndim == 3 or calls.count(2) == 1:  # the stack, then its first matrix
+            raise np.linalg.LinAlgError("injected")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    point, x_axis, _, failed = solver.roots(xf, tf)
+    assert calls == [3] + [2] * len(xf)
+    assert failed.tolist() == [True] + [False] * (len(xf) - 1)
+    assert np.array_equal(x_axis, clean[1][clean[0] != 0])
 
 
 def test_sample_cloud_d1():
@@ -117,13 +284,16 @@ def test_sample_determinism():
 
 
 def _fail_when(monkeypatch, predicate):
-    """Make the axis solver raise on the grid points the predicate picks."""
+    """Make the axis solver fail the grid points the predicate picks."""
     real = _AxisSolver.roots
 
-    def roots(self, x_fixed, theta_fixed):
-        if predicate(x_fixed, theta_fixed):
-            raise _RootFailure("injected")
-        return real(self, x_fixed, theta_fixed)
+    def roots(self, xf, tf):
+        point, x_axis, theta_axis, failed = real(self, xf, tf)
+        hit = np.array(
+            [predicate(tuple(x), tuple(th)) for x, th in zip(xf.tolist(), tf.tolist())], dtype=bool
+        )
+        kept = ~hit[point]
+        return point[kept], x_axis[kept], theta_axis[kept], failed | hit
 
     monkeypatch.setattr(_AxisSolver, "roots", roots)
 
@@ -160,6 +330,25 @@ def test_convergence_d1_shape():
     # distance scales like C / log t near the vertex legs
     cs = [m * math.log(r.t) for m, r in zip(maxima, rows)]
     assert max(cs) / min(cs) < 1.2
+
+
+def test_convergence_distance_bound_trips(monkeypatch):
+    # a cloud shifted by +1 along its solve axis is no longer on the amoeba
+    grid = AmoebaGrid((0.0, 16.0, 5), (0.0, 16.0, 5), 3, 3)
+    assert convergence_study(1, [E8], grid)
+    real = am.sample_amoeba
+
+    def shifted(*args, **kwargs):
+        cloud = real(*args, **kwargs)
+        cloud.samples = [
+            am.AmoebaSample((s.x[0], s.x[1], s.x[2] + 1.0), s.theta, s.root_index, s.residual)
+            for s in cloud.samples
+        ]
+        return cloud
+
+    monkeypatch.setattr(am, "sample_amoeba", shifted)
+    with pytest.raises(NumericError, match="beyond the bound"):
+        convergence_study(1, [E8], grid)
 
 
 def test_convergence_input_validation():
@@ -254,13 +443,21 @@ def test_period_preconditions(sub1, period_probe):
 
 
 def test_period_branch_ambiguity(period_probe, monkeypatch):
-    from tropical_pants import amoeba as am
-
-    def fake_roots(self, x_fixed, theta_fixed):
-        return [(13.0, 1.0), (13.0, 1.0 + 4e-10)]
+    def fake_roots(self, xf, tf):
+        n = len(xf)
+        point = np.repeat(np.arange(n), 2)
+        return point, np.full(2 * n, 13.0), np.tile([1.0, 1.0 + 4e-10], n), np.zeros(n, bool)
 
     monkeypatch.setattr(am._AxisSolver, "roots", fake_roots)
     with pytest.raises(BranchError):
+        period_integral(period_probe, E8, n=8, mode="numeric")
+
+
+def test_period_failed_node_raises(period_probe, monkeypatch):
+    angles = 2.0 * math.pi * np.arange(8) / 8
+    node = (float(angles[2]), float(angles[5]))
+    _fail_when(monkeypatch, lambda x, th: th == node)
+    with pytest.raises(NumericError, match=r"root solve failed at theta=\(1\.5708,3\.9270\)"):
         period_integral(period_probe, E8, n=8, mode="numeric")
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from tropical_pants import lattice
-from tropical_pants.errors import DomainError
+from tropical_pants.errors import DomainError, LemmaViolationError
 from tropical_pants.pants import (
     build_pants_graph,
     build_x0,
@@ -12,6 +12,7 @@ from tropical_pants.pants import (
     k3_blocks,
     pants_report,
 )
+from tropical_pants.subdivision import RegularSubdivision
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,39 @@ def test_blocks_cover_and_translate(sub_factory, d):
     assert len(blocks) == lattice.interior_lattice_count(d)
     assert all(len(b.cell_ids) == 64 for b in blocks)
     assert verdict.ok
+
+
+def _blocks_by_scan(sub):
+    """Oracle: per interior point, every cell inside its translated degree-4 simplex."""
+    out = []
+    for m in lattice.interior_points(sub.d):
+        base = (m[0] - 1, m[1] - 1, m[2] - 1)
+        ids = [
+            c.id
+            for c in sub.cells
+            if all(
+                lattice.in_delta((v[0] - base[0], v[1] - base[1], v[2] - base[2]), 4)
+                for v in c.vertices
+            )
+        ]
+        out.append((m, tuple(ids)))
+    return out
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_blocks_lookup_matches_scan(sub_factory, d):
+    sub = sub_factory(d)
+    blocks, _ = k3_blocks(sub)
+    assert [(b.m, b.cell_ids) for b in blocks] == _blocks_by_scan(sub)
+
+
+def test_blocks_missing_cell_raises(sub5, cls5, monkeypatch):
+    index = sub5.cell_index()
+    gone = sub5.cells[cls5.other_ids[0]].vertices
+    del index[gone]
+    monkeypatch.setattr(RegularSubdivision, "cell_index", lambda self: index)
+    with pytest.raises(LemmaViolationError, match="lacks the translated cell"):
+        k3_blocks(sub5, cls5)
 
 
 def test_blocks_d5_union_is_everything(sub5, cls5):
