@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("identities", _cmd_identities, help="run the exact exponent identity sweeps")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--json", help="write the last cell's certificate as JSON")
+    p.add_argument("--json", help="write every inner cell's certificate as JSON")
 
     p = add("amoeba", _cmd_amoeba, help="sample log images of the deformed surface")
     p.add_argument("--d", type=int, required=True)

@@ -8,9 +8,11 @@ Its lower convex hull induces a translation-invariant decomposition of space
 into tetrahedra, six per unit cube.  Restricted to D_d this gives a regular
 unimodular subdivision with exactly d^3 cells.  Two independent construction
 paths are provided: translating the six reference cube cells (fast, canonical
-lift only) and a generic lifted lower-hull computation (any lift).  Every cell
-is certified exactly against the strict supporting property, so floating point
-in the hull path can never leak into the result.
+lift only) and a generic lifted lower-hull computation (any lift).
+
+Either way the result is certified exactly, in O(d^3): d^3 unimodular cells,
+a face census, and a strict folding test across every interior 2-face (see
+subdivide).  Floating point in the hull path can never leak into the result.
 """
 
 from __future__ import annotations
@@ -286,6 +288,38 @@ def _census(d: int, cell_list: list[Simplex3]):
     )
 
 
+def _check_folding(
+    cells: Sequence[Cell], faces: Mapping[Triangle, tuple[int, ...]], fn: Callable[[Point3], int]
+) -> None:
+    """Strict folding of the lift across every interior 2-face.
+
+    For the cells s, s' on a face, their vertices p, p' off the face must lie
+    on opposite sides of the face's plane, and each must lie strictly above
+    the other cell's form.  Every face is tested; any strict violation raises
+    CertificationError, otherwise any equality (a flat fold) raises
+    DegeneracyError.
+    """
+    strict, flat = [], []
+    for tri, ids in faces.items():
+        if len(ids) != 2:
+            continue
+        (p,), (q,) = (set(cells[i].vertices).difference(tri) for i in ids)
+        u, w, dp, dq = ([x[k] - tri[0][k] for k in range(3)] for x in (tri[1], tri[2], p, q))
+        if lattice.det3(u, w, dp) * lattice.det3(u, w, dq) >= 0:
+            strict.append(f"cells {ids} lie on the same side of face {tri}")
+            continue
+        for cid, off in ((ids[0], q), (ids[1], p)):
+            gap = fn(off) - cells[cid].support(off)
+            if gap < 0:
+                strict.append(f"{off} lies below the form of cell {cells[cid].vertices}")
+            elif gap == 0:
+                flat.append(f"{off} lies on the form of cell {cells[cid].vertices}")
+    if strict:
+        raise CertificationError(f"lift is not strictly convex: {strict[:3]}")
+    if flat:
+        raise DegeneracyError(f"lift is not generic: {flat[:3]}")
+
+
 def subdivide(
     d: int,
     lift: LiftLike = None,
@@ -296,6 +330,31 @@ def subdivide(
 
     method: "pattern" (canonical lift only), "hull" (any lift), "both"
     (canonical lift only: run both and require identical cell sets), or "auto".
+
+    Checks, in order: there are d^3 cells, every cell is unimodular, and the
+    face census holds (each interior 2-face lies in two cells, each face on
+    the boundary of D_d in one).  With certify, the lift then folds strictly
+    across every interior face (_check_folding).  Together these prove the
+    cells are the regular subdivision of the lift, with every lift value
+    strictly above every cell's form off that cell:
+
+    - The census and the opposite-sides test make the cells a pseudomanifold
+      whose boundary faces lie on the boundary of D_d, so it covers D_d a
+      constant number of times.  d^3 cells of volume 1 against the volume d^3
+      of D_d make that number 1: the cells triangulate D_d.
+    - A unimodular simplex has no lattice points besides its vertices, so
+      every lattice point of D_d is a vertex and the piecewise-linear
+      function g interpolating the lift on the cells equals it there.
+    - Strict folding is strict local convexity of g at every interior face.
+      For a triangulation of a convex set that makes g convex with a strict
+      crease at every face (De Loera, Rambau, Santos, "Triangulations",
+      2010, the "locally convex implies regular" lemma), so each cell's form
+      stays strictly below g, hence below the lift, at every lattice point
+      off the cell.  Conversely a strict global violation forces a strict
+      local one, and a flat fold is an extra equality point.
+
+    The cost is O(d^3).  The hull path filters its float candidates with the
+    global check_supporting sweep before any of this runs.
     """
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
@@ -320,24 +379,15 @@ def subdivide(
     else:
         raise DomainError(f"unknown method {method!r}")
 
-    cells: list[Cell] = []
-    for cid, vs in enumerate(cell_list):
-        if normalized_volume(vs) != 1:
-            raise CertificationError(f"cell {vs} is not unimodular")
-        form = supporting_form(vs, fn)
-        if certify:
-            verdict = check_supporting(form, vs, d, fn)
-            if verdict.violations:
-                raise CertificationError(f"cell {vs} fails support: {verdict.violations[:3]}")
-            if verdict.equality_points:
-                raise DegeneracyError(
-                    f"lift not generic at cell {vs}: extra equalities {verdict.equality_points}"
-                )
-        cells.append(Cell(cid, vs, form))
-
     if len(cell_list) != d**3:
         raise CertificationError(f"got {len(cell_list)} cells, expected {d**3}")
+    for vs in cell_list:
+        if normalized_volume(vs) != 1:
+            raise CertificationError(f"cell {vs} is not unimodular")
     faces, edges = _census(d, cell_list)
+    cells = [Cell(cid, vs, supporting_form(vs, fn)) for cid, vs in enumerate(cell_list)]
+    if certify:
+        _check_folding(cells, faces, fn)
     values = {m: fn(m) for m in lattice.delta_points(d)}
     return RegularSubdivision(d, kind, cells, faces, edges, values)
 

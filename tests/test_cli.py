@@ -60,6 +60,16 @@ def test_identities(capsys, tmp_path):
     assert len(certs["certificates"]) == 1
 
 
+@pytest.mark.parametrize("d", [5, 6])
+def test_identities_json_holds_every_inner_cell(capsys, tmp_path, d):
+    path = tmp_path / "certs.json"
+    code, out, _ = run(capsys, "identities", "--d", str(d), "--json", str(path))
+    assert code == 0
+    certs = json.loads(path.read_text())["certificates"]
+    assert len(certs) == (d - 4) ** 3
+    assert [c["cell"] for c in certs] == [c["cell"] for c in json.loads(out)["cells"]]
+
+
 def test_tropical_mesh(capsys, tmp_path):
     path = tmp_path / "d1.off"
     code, out, _ = run(capsys, "tropical", "--d", "1", "--mesh", str(path))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropical_pants import lattice
-from tropical_pants.errors import DomainError
+from tropical_pants import lattice, patchwork
+from tropical_pants.errors import CertificationError, DomainError
 from tropical_pants.patchwork import (
+    ResidualExponent,
     boundary_relation,
     build_patchwork,
     eval_patchwork,
@@ -184,6 +185,47 @@ def test_boundary_relation_rejects_non_adjacent(sub_factory):
         boundary_relation(sub, a, b)
 
 
+# --- matrix sweep against the scalar oracles --------------------------------
+
+
+def _scalar_entries(sub, cid):
+    out = []
+    for m, _ in lattice.enumerate_delta(sub.d):
+        rec = monomial_identity(sub, cid, m)
+        out.append(
+            {
+                "m": [str(c) for c in rec.m],
+                "a": [str(c) for c in rec.a],
+                "exponent": str(rec.exponent),
+                "verified": rec.verified,
+            }
+        )
+    return out
+
+
+def _scalar_residuals(sub, cid, partner_ids=()):
+    # the per-point loop: expand over the base cell, reroute a pole on the
+    # off-face coordinate through the first partner that lacks m as a vertex
+    base = sub.cells[cid]
+    partners = []
+    for pid in sorted(partner_ids):
+        (off,) = set(base.vertices) - set(sub.cells[pid].vertices)
+        partners.append((pid, base.vertices.index(off)))
+    out = []
+    for m, interior in lattice.enumerate_delta(sub.d):
+        if interior:
+            continue
+        chosen, coeffs = cid, patchwork._barycentric(base.vertices, m)
+        for pid, off_idx in partners:
+            if coeffs[off_idx] >= 0 or m in sub.cells[pid].vertices:
+                continue
+            chosen, coeffs = pid, patchwork._barycentric(sub.cells[pid].vertices, m)
+            break
+        exponent = sub.cells[chosen].support(m) - sub.lift_values[m]
+        out.append(ResidualExponent(m, exponent, chosen, tuple(coeffs)))
+    return out
+
+
 def test_residuals_frozen(sub5, inner5):
     recs = residual_exponents(sub5, inner5)
     assert len(recs) == 52
@@ -200,6 +242,7 @@ def test_residuals_with_partner_switch(sub5, inner5):
     # opposite coordinate must be rerouted through the flap's chart
     flaps = classify_cells(sub5).flap_ids
     recs = residual_exponents(sub5, inner5, partner_ids=flaps)
+    assert recs == _scalar_residuals(sub5, inner5, flaps)
     assert {r.cell_id for r in recs} - {inner5}  # at least one switch happened
     assert all(r.exponent < 0 for r in recs)
     base_vertices = sub5.cells[inner5].vertices
@@ -210,7 +253,7 @@ def test_residuals_with_partner_switch(sub5, inner5):
         assert len(shared) == 3
 
 
-@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
 def test_residuals_all_inner_cells(sub_factory, d):
     sub = sub_factory(d)
     n_boundary = lattice.lattice_count(d) - lattice.interior_lattice_count(d)
@@ -218,6 +261,7 @@ def test_residuals_all_inner_cells(sub_factory, d):
         recs = residual_exponents(sub, cid)
         assert len(recs) == n_boundary
         assert all(r.exponent < 0 for r in recs)
+        assert recs == _scalar_residuals(sub, cid)
 
 
 def test_residuals_rejects_bad_input(sub_factory, sub5, inner5):
@@ -236,3 +280,36 @@ def test_certificate_shape(sub5, inner5):
     first = cert["entries"][0]
     assert first["m"] == ["0", "0", "0"]
     assert first["exponent"] == "-90"
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_certificate_matches_scalar_identities(sub_factory, d):
+    sub = sub_factory(d)
+    ids = classify_cells(sub).interior_ids
+    assert len(ids) == (d - 4) ** 3
+    for cid in ids:
+        cert = identity_certificate(sub, cid)
+        assert cert["entries"] == _scalar_entries(sub, cid)
+        assert all(type(e["verified"]) is bool and e["verified"] for e in cert["entries"])
+
+
+def test_matrix_sweep_returns_python_ints(sub5, inner5):
+    # no numpy scalar leaks out of the object-array products
+    flaps = classify_cells(sub5).flap_ids
+    for recs in (residual_exponents(sub5, inner5), residual_exponents(sub5, inner5, flaps)):
+        for r in recs:
+            assert type(r.exponent) is int and type(r.cell_id) is int
+            assert all(type(c) is int for c in (*r.m, *r.a))
+    for e in identity_certificate(sub5, inner5)["entries"]:
+        assert type(e["verified"]) is bool
+
+
+def test_vertex_matrix_inverse(sub5, inner5):
+    vs = sub5.cells[inner5].vertices
+    inv = patchwork._vertex_matrix_inverse(vs)
+    for i, v in enumerate(vs):
+        assert list(inv @ [*v, 1]) == [int(j == i) for j in range(4)]
+    assert all(type(x) is int for x in inv.flat)
+    # a volume-2 simplex has no integral inverse
+    with pytest.raises(CertificationError):
+        patchwork._vertex_matrix_inverse([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])

@@ -4,11 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_pants import lattice, subdivision
 from tropical_pants.errors import CertificationError, DegeneracyError, DomainError
 from tropical_pants.subdivision import (
     AffineForm,
+    Cell,
     check_supporting,
     lift_value,
     subdivide,
@@ -217,3 +220,107 @@ def test_json_export_roundtrip(sub_factory):
     # integers serialized as decimal strings
     assert all(isinstance(x, str) for x in back["cells"][0]["vertices"][0])
     assert isinstance(back["cells"][0]["support"]["b"], str)
+
+
+# --- folding certification ---------------------------------------------------
+
+
+def _cells_and_faces(d, cell_list, lift):
+    faces, _ = subdivision._census(d, cell_list)
+    cells = [Cell(i, vs, supporting_form(vs, lift)) for i, vs in enumerate(cell_list)]
+    return cells, faces
+
+
+def _folding_verdict(cells, faces, lift):
+    fn, _ = subdivision.resolve_lift(lift)
+    try:
+        subdivision._check_folding(cells, faces, fn)
+    except (CertificationError, DegeneracyError) as exc:
+        return type(exc)
+    return None
+
+
+def _sweep_verdict(cells, d, lift):
+    # the global oracle: check_supporting of every cell over all of D_d(Z)
+    verdicts = [check_supporting(c.support, c.vertices, d, lift) for c in cells]
+    if any(v.violations for v in verdicts):
+        return CertificationError
+    if any(v.equality_points for v in verdicts):
+        return DegeneracyError
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    scale=st.integers(0, 2),
+    noise=st.lists(st.integers(-3, 3), min_size=35, max_size=35),
+)
+def test_folding_matches_sweep_random_lifts(d, scale, noise):
+    # random integer lift tables: a multiple of the canonical lift plus noise
+    pts = lattice.delta_points(d)
+    table = {m: scale * lift_value(m) + e for m, e in zip(pts, noise)}
+    # on the canonical triangulation, which the table may fold either way
+    cells, faces = _cells_and_faces(d, subdivision._cells_by_pattern(d), table)
+    assert _folding_verdict(cells, faces, table) == _sweep_verdict(cells, d, table)
+    # on the cells of the table's own lower hull, when they triangulate
+    try:
+        hull = subdivision._cells_by_hull(d, table)
+    except (CertificationError, DegeneracyError):
+        return
+    if len(hull) == d**3 and all(lattice.normalized_volume(c) == 1 for c in hull):
+        cells, faces = _cells_and_faces(d, hull, table)
+        assert _folding_verdict(cells, faces, table) is None
+        assert _sweep_verdict(cells, d, table) is None
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_folding_matches_sweep_canonical(d):
+    cells, faces = _cells_and_faces(d, subdivision._cells_by_pattern(d), None)
+    assert _sweep_verdict(cells, d, None) is None
+    assert _folding_verdict(cells, faces, None) is None
+
+
+def test_folding_rejects_concave_lift(monkeypatch):
+    concave = lambda m: -lift_value(m)  # noqa: E731
+    cells, faces = _cells_and_faces(3, subdivision._cells_by_pattern(3), concave)
+    assert _sweep_verdict(cells, 3, concave) is CertificationError
+    assert _folding_verdict(cells, faces, concave) is CertificationError
+    # end to end: the pattern path under a concave "canonical" lift
+    monkeypatch.setattr(subdivision, "lift_value", concave)
+    with pytest.raises(CertificationError, match="not strictly convex"):
+        subdivide(3)
+
+
+def test_folding_rejects_cospherical_lift(monkeypatch):
+    # |m|^2 puts the 8 corners of every unit cube on one sphere: the folds
+    # inside each cube are flat
+    sphere = lambda m: m[0] ** 2 + m[1] ** 2 + m[2] ** 2  # noqa: E731
+    cells, faces = _cells_and_faces(3, subdivision._cells_by_pattern(3), sphere)
+    assert _sweep_verdict(cells, 3, sphere) is DegeneracyError
+    assert _folding_verdict(cells, faces, sphere) is DegeneracyError
+    monkeypatch.setattr(subdivision, "lift_value", sphere)
+    with pytest.raises(DegeneracyError, match="not generic"):
+        subdivide(3)
+
+
+def test_folding_rejects_cells_on_one_side():
+    # both cells of the face x+y+z=1 lie on its lower side
+    tri = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    cell_list = [((0, 0, 0), *tri), tuple(sorted((*tri, (1, 1, -2))))]
+    assert all(lattice.normalized_volume(c) == 1 for c in cell_list)
+    cells = [Cell(i, vs, supporting_form(vs)) for i, vs in enumerate(cell_list)]
+    with pytest.raises(CertificationError, match="same side"):
+        subdivision._check_folding(cells, {tri: (0, 1)}, lift_value)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_certification_makes_no_global_sweep(monkeypatch, d):
+    # the pattern and auto paths certify in O(d^3), without check_supporting
+    def sweep(*args, **kwargs):
+        raise AssertionError("check_supporting called")
+
+    monkeypatch.setattr(subdivision, "check_supporting", sweep)
+    for method in ("auto", "pattern"):
+        sub = subdivide(d, method=method)
+        assert len(sub.cells) == d**3
