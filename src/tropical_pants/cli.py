@@ -92,7 +92,8 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
             data[key.strip()] = value.strip()
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        # command, config and fn are the parser's own entries, not settings
+        if dest in ("command", "config", "fn") or not hasattr(args, dest):
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(args, dest)
         if isinstance(current, int) and not isinstance(current, bool):

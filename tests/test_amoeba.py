@@ -33,7 +33,7 @@ from tropical_pants.errors import (
     DomainError,
     NumericError,
 )
-from tropical_pants.patchwork import build_patchwork, eval_patchwork
+from tropical_pants.patchwork import build_patchwork, eval_patchwork, eval_patchwork_many
 from tropical_pants.serialization import write_csv
 
 E4, E8, E16 = math.e**4, math.e**8, math.e**16
@@ -171,7 +171,7 @@ _PATCHWORKS = {d: build_patchwork(d) for d in range(1, 6)}
 def test_batched_roots_match_scalar_oracle(d, logt, axis, pts):
     solver = _AxisSolver(_PATCHWORKS[d], math.exp(logt), axis)
     grid = np.array(pts)
-    point, x_axis, theta_axis, failed = solver.roots(grid[:, :2], grid[:, 2:])
+    point, x_axis, theta_axis, failed, _ = solver.roots(grid[:, :2], grid[:, 2:])
     assert not failed.any()
     for i, row in enumerate(grid):
         expected = _scalar_roots(solver, row[:2], row[2:])
@@ -206,7 +206,7 @@ def test_d1_root_closed_form():
     # deep in the third unbounded leg the root balances 1 against w3,
     # so its log image must sit at the lift value 13
     solver = _AxisSolver(build_patchwork(1), E16, 2)
-    point, x_axis, theta_axis, failed = solver.roots([[-100.0, -100.0]], [[0.0, 0.0]])
+    point, x_axis, theta_axis, failed, _ = solver.roots([[-100.0, -100.0]], [[0.0, 0.0]])
     assert point.tolist() == [0] and failed.tolist() == [False]
     assert abs(x_axis[0] - 13.0) < 0.05
     assert abs(abs(theta_axis[0]) - math.pi) < 1e-9
@@ -229,7 +229,7 @@ def test_non_finite_eigenvalue_fails_the_point(monkeypatch):
         return z
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    point, x_axis, _, failed = solver.roots(xf, tf)
+    point, x_axis, _, failed, _ = solver.roots(xf, tf)
     assert failed.tolist() == [True] + [False] * (len(xf) - 1)
     assert point.tolist() == clean[0][clean[0] != 0].tolist()
     assert np.array_equal(x_axis, clean[1][clean[0] != 0])
@@ -249,7 +249,7 @@ def test_eigenvalue_error_fails_only_its_point(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    point, x_axis, _, failed = solver.roots(xf, tf)
+    point, x_axis, _, failed, _ = solver.roots(xf, tf)
     assert calls == [3] + [2] * len(xf)
     assert failed.tolist() == [True] + [False] * (len(xf) - 1)
     assert np.array_equal(x_axis, clean[1][clean[0] != 0])
@@ -266,13 +266,78 @@ def test_sample_cloud_d1():
 
 
 def test_sample_residuals_reproducible():
-    # stored residual must match an independent re-evaluation
+    # stored residual (summed through the axis groups) must match an
+    # independent re-evaluation over all terms
     p = build_patchwork(1)
     grid = AmoebaGrid((2.0, 14.0, 4), (2.0, 14.0, 4), 2, 2)
     cloud = sample_amoeba(1, E8, grid)
     for s in cloud.samples[:20]:
         val, _ = eval_patchwork(p, E8, s.x, s.theta)
         assert abs(val) == pytest.approx(s.residual, abs=1e-15)
+    for d, t in itertools.product((5, 8), (E4, E16)):
+        p = build_patchwork(d)
+        cloud = sample_amoeba(d, t, AmoebaGrid((0.0, 2.0 * d, 3), (0.0, 2.0 * d, 3), 2, 2))
+        assert cloud.samples
+        for s in cloud.samples:
+            val, _ = eval_patchwork(p, t, s.x, s.theta)
+            assert abs(val) == pytest.approx(s.residual, abs=1e-14)
+
+
+def _period_columns(p, i):
+    # period_integral's columns: m_3, and the indicator of the pair's m
+    return np.array([[m[2], float(j == i)] for j, (m, _) in enumerate(p.terms)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(2.0, 16.0),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 55)),
+    st.lists(
+        st.tuples(
+            st.floats(-4.0, 20.0),
+            st.floats(-4.0, 20.0),
+            st.floats(0.0, 2 * math.pi),
+            st.floats(0.0, 2 * math.pi),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_grid_root_sums_match_direct_evaluation(d, logt, axis, pair, pts):
+    # the sums through the axis groups equal the sweep over all terms
+    p = _PATCHWORKS[d]
+    solver = _AxisSolver(p, math.exp(logt), axis)
+    coeffs = None if pair is None else _period_columns(p, pair % len(p))
+    n_roots = 0
+    for _, _, _, x, theta, sums in am._grid_roots(solver, np.array(pts), coeffs):
+        n_roots += len(x)
+        direct, _ = eval_patchwork_many(p, solver.t, x, theta)
+        assert sums.shape == (len(x), 1 if coeffs is None else 3)
+        assert np.abs(sums[:, :1] - direct).max(initial=0.0) < 1e-12
+        if coeffs is not None:
+            direct, _ = eval_patchwork_many(p, solver.t, x, theta, coeffs)
+            assert np.abs(sums[:, 1:] - direct).max(initial=0.0) < 1e-12
+    assert n_roots > 0
+
+
+def test_grid_root_sums_non_finite_raise(monkeypatch):
+    p = build_patchwork(3)
+    solver = _AxisSolver(p, E8, 2)
+    grid = np.array([[1.0, 2.0, 0.5, 1.5], [3.0, 1.0, 2.5, 0.5]])
+    coeffs = _period_columns(p, 7)
+    assert sum(len(b[3]) for b in am._grid_roots(solver, grid, coeffs)) > 0
+    real = am.eval_patchwork_many
+
+    def nan_amplitude(*args, **kwargs):  # group amplitudes of the indicator column
+        vals, big = real(*args, **kwargs)
+        vals[:, -1] = np.nan
+        return vals, big
+
+    monkeypatch.setattr(am, "eval_patchwork_many", nan_amplitude)
+    with pytest.raises(NumericError, match="non-finite scaled value"):
+        list(am._grid_roots(solver, grid, coeffs))
 
 
 def test_sample_determinism():
@@ -287,13 +352,13 @@ def _fail_when(monkeypatch, predicate):
     """Make the axis solver fail the grid points the predicate picks."""
     real = _AxisSolver.roots
 
-    def roots(self, xf, tf):
-        point, x_axis, theta_axis, failed = real(self, xf, tf)
+    def roots(self, xf, tf, group_cols=None):
+        point, x_axis, theta_axis, failed, sums = real(self, xf, tf, group_cols)
         hit = np.array(
             [predicate(tuple(x), tuple(th)) for x, th in zip(xf.tolist(), tf.tolist())], dtype=bool
         )
         kept = ~hit[point]
-        return point[kept], x_axis[kept], theta_axis[kept], failed | hit
+        return point[kept], x_axis[kept], theta_axis[kept], failed | hit, sums[kept]
 
     monkeypatch.setattr(_AxisSolver, "roots", roots)
 
@@ -443,10 +508,12 @@ def test_period_preconditions(sub1, period_probe):
 
 
 def test_period_branch_ambiguity(period_probe, monkeypatch):
-    def fake_roots(self, xf, tf):
+    def fake_roots(self, xf, tf, group_cols=None):
         n = len(xf)
         point = np.repeat(np.arange(n), 2)
-        return point, np.full(2 * n, 13.0), np.tile([1.0, 1.0 + 4e-10], n), np.zeros(n, bool)
+        sums = np.ones((2 * n, group_cols[0].shape[1]), dtype=complex)
+        theta = np.tile([1.0, 1.0 + 4e-10], n)
+        return point, np.full(2 * n, 13.0), theta, np.zeros(n, bool), sums
 
     monkeypatch.setattr(am._AxisSolver, "roots", fake_roots)
     with pytest.raises(BranchError):

@@ -176,6 +176,21 @@ def test_config_file_overrides_flags(capsys, tmp_path):
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "subdivide", "--d", "2")[0] == 2
 
 
+@pytest.mark.parametrize("entry", ["fn=x", "command=amoeba", "config=other.cfg"])
+def test_config_rejects_parser_entries(capsys, tmp_path, entry):
+    # the parser's own namespace entries are not settings a config may set
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "--config", str(cfg), "invariants", "--d-range", "5..6")
+    assert code == 2
+    assert f"unknown config key {entry.partition('=')[0]!r}" in err
+    amoeba = ["amoeba", "--d", "1", "--t-list", "e4", "--grid", "0:8:2,0:8:2,2,2",
+              "--out", str(out)]
+    assert run(capsys, "--config", str(cfg), *amoeba)[0] == 2
+    assert not (out / "run_config.json").exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tropical_pants.cli", "verify-tables"],
